@@ -4,27 +4,28 @@ Not a paper table; these track the throughput of the expensive building
 blocks (VM tracing, timing simulation, feature encoding, foundation
 training step) so performance regressions in the hot paths are visible.
 
-The ``jit_comparison`` section times the :mod:`repro.jit` compiled
-kernels against the numpy reference kernels on the scale's LSTM/GRU
-substrate and checks their parity.  Run directly to produce the
-committed report (the CI ``jit`` job gates on it)::
+The ``kernel_comparison`` section times the fused no-grad LSTM/GRU
+kernel (:mod:`repro.ml.inference`) against the autograd per-op forward
+— the parity suite's oracle — on the scale's recurrent substrate and
+checks their parity.  Run directly to produce the committed report (the
+CI ``kernels`` job gates on it)::
 
     PYTHONPATH=src python benchmarks/bench_substrate.py --scale smoke \
-        --output benchmarks/BENCH_jit.json
+        --output benchmarks/BENCH_kernels.json
 
-Acceptance bar at smoke scale: every kernel's compiled-vs-reference
-``speedup >= 1.5`` with ``max_abs_diff <= 1e-6``.
+Acceptance bar at smoke scale: every kernel's fused-vs-oracle
+``speedup >= 3`` with ``max_abs_diff <= 1e-6``.
 """
 
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
 
-from repro import jit
 from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
@@ -96,7 +97,7 @@ def test_program_representation_inference(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# the repro.jit compiled tier vs the numpy reference kernels
+# the fused no-grad kernel vs the autograd per-op forward (the test oracle)
 # ---------------------------------------------------------------------------
 def _scale_batch(scale_name: str):
     """One inference batch shaped like the scale's training chunks."""
@@ -119,11 +120,12 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def jit_comparison(scale_name: str = "smoke", repeats: int = 50) -> dict:
-    """Compiled-vs-reference timings + parity on the scale's substrate.
+def kernel_comparison(scale_name: str = "smoke", repeats: int = 50) -> dict:
+    """Fused-vs-oracle timings + parity on the scale's substrate.
 
     One row per recurrent kernel family, sized exactly like the scale's
-    serving chunks (the hot loop :mod:`repro.jit` exists for).
+    serving chunks.  The oracle is the autograd forward (graph building
+    on), which runs one op per gate per step.
     """
     scale, batch = _scale_batch(scale_name)
     hidden = scale.spec.split("-")[-1]
@@ -132,70 +134,63 @@ def jit_comparison(scale_name: str = "smoke", repeats: int = 50) -> dict:
         "scale": scale.name,
         "batch_shape": list(batch.shape),
         "repeats": repeats,
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "kernels": {},
     }
     for kind in ("lstm", "gru"):
         spec = f"{kind}-{layers}-{hidden}"
         foundation = make_foundation(spec, seed=0)
-        with jit.context(enabled=False):
-            reference, _ = foundation.infer(batch)
-            t_ref = _best_of(lambda: foundation.infer(batch), repeats)
-        with jit.context(enabled=True):
-            compiled, _ = foundation.infer(batch)  # warm-up + compile
-            t_jit = _best_of(lambda: foundation.infer(batch), repeats)
+        oracle = foundation(Tensor(batch))[0].data
+        fused, _ = foundation.infer(batch)
+        t_oracle = _best_of(lambda: foundation(Tensor(batch)), repeats)
+        t_fused = _best_of(lambda: foundation.infer(batch), repeats)
         report["kernels"][kind] = {
             "spec": spec,
-            "reference_seconds": t_ref,
-            "compiled_seconds": t_jit,
-            "speedup": t_ref / t_jit,
-            "max_abs_diff": float(np.max(np.abs(compiled - reference))),
+            "oracle_seconds": t_oracle,
+            "fused_seconds": t_fused,
+            "speedup": t_oracle / t_fused,
+            "max_abs_diff": float(np.max(np.abs(fused - oracle))),
         }
-    report["jit_stats"] = jit.stats()
     return report
 
 
-def test_lstm_infer_reference_tier(benchmark):
+def test_lstm_infer_fused_kernel(benchmark):
     _, batch = _scale_batch("smoke")
     foundation = make_foundation("lstm-1-16", seed=0)
-    with jit.context(enabled=False):
-        out, _ = benchmark(foundation.infer, batch)
-    assert out.shape == batch.shape[:2] + (16,)
-
-
-def test_lstm_infer_compiled_tier(benchmark):
-    _, batch = _scale_batch("smoke")
-    foundation = make_foundation("lstm-1-16", seed=0)
-    with jit.context(enabled=True):
-        foundation.infer(batch)  # compile outside the timed region
-        out, _ = benchmark(foundation.infer, batch)
+    out, _ = benchmark(foundation.infer, batch)
     assert out.shape == batch.shape[:2] + (16,)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="compiled-vs-reference kernel benchmark"
+        description="fused-kernel vs autograd-oracle benchmark"
     )
     parser.add_argument("--scale", default=os.environ.get(
         "REPRO_BENCH_SCALE", "smoke"))
     parser.add_argument("--repeats", type=int, default=50,
                         help="timing repetitions (best-of)")
     parser.add_argument("--output", default=None, metavar="PATH",
-                        help="JSON output (default: results/BENCH_jit.json)")
+                        help="JSON output (default: results/BENCH_kernels.json)")
     args = parser.parse_args(argv)
 
-    report = jit_comparison(args.scale, repeats=args.repeats)
-    print(f"# bench_substrate jit scale={report['scale']} "
+    report = kernel_comparison(args.scale, repeats=args.repeats)
+    print(f"# bench_substrate kernels scale={report['scale']} "
           f"batch={tuple(report['batch_shape'])}")
     for kind, row in report["kernels"].items():
         print(f"{kind:>4s} {row['spec']:<12s} "
-              f"ref {1e3 * row['reference_seconds']:7.3f} ms  "
-              f"jit {1e3 * row['compiled_seconds']:7.3f} ms  "
+              f"oracle {1e3 * row['oracle_seconds']:7.3f} ms  "
+              f"fused {1e3 * row['fused_seconds']:7.3f} ms  "
               f"speedup {row['speedup']:.2f}x  "
               f"max|diff| {row['max_abs_diff']:.2e}")
     from _bench_util import metrics_block
 
     report["metrics"] = metrics_block()
-    output = args.output or os.path.join("results", "BENCH_jit.json")
+    output = args.output or os.path.join("results", "BENCH_kernels.json")
     os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
     with open(output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

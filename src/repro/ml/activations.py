@@ -1,23 +1,14 @@
-"""Shared gate math: the single source of truth for activation kernels.
+"""Gate nonlinearities shared by the two recurrent forward passes.
 
-Three consumers need *identical* numerics for the recurrent gate
-nonlinearities:
+* :func:`stable_sigmoid` — the autograd engine's sigmoid
+  (:meth:`repro.ml.autograd.Tensor.sigmoid`), used by the training
+  forward and therefore the numerical reference;
+* :func:`fast_sigmoid_` — the in-place direct form used by the no-grad
+  kernel in :mod:`repro.ml.inference`.
 
-* the autograd engine (:meth:`repro.ml.autograd.Tensor.sigmoid`) — the
-  training forward;
-* the hand-fused reference kernels in :mod:`repro.ml.inference` — the
-  always-on no-grad serving path;
-* the code generator in :mod:`repro.jit` — whose emitted modules import
-  the in-place variants below directly.
-
-Keeping every formulation here means a numerical change lands in all
-three paths at once (and the parity suite pins them to each other).
-:func:`stable_sigmoid_` performs exactly the same element-wise
-operations as the allocating :func:`stable_sigmoid` — ``where(x >= 0,
-1/(1+e), e/(1+e))`` with ``e = exp(-|x|)``.  The JIT tier uses
-:func:`fast_sigmoid_`, the direct form, which trades a few ulps (and an
-exact 0.0 where the stable form returns a denormal) for half the
-operation count — well inside the suite's 1e-6 parity bar.
+The two differ by at most a few ulps (and an exact 0.0 where the stable
+form returns a denormal), well inside the parity suite's 1e-6 bar; the
+direct form has half the operation count.
 """
 
 from __future__ import annotations
@@ -26,9 +17,7 @@ import numpy as np
 
 __all__ = [
     "fast_sigmoid_",
-    "sigmoid_scratch",
     "stable_sigmoid",
-    "stable_sigmoid_",
 ]
 
 
@@ -44,46 +33,17 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out.astype(x.dtype, copy=False)
 
 
-def sigmoid_scratch(
-    shape: tuple[int, ...], dtype=np.float32
-) -> tuple[np.ndarray, np.ndarray]:
-    """Preallocated ``(e, mask)`` scratch for :func:`stable_sigmoid_`."""
-    return np.empty(shape, dtype=dtype), np.empty(shape, dtype=bool)
-
-
-def stable_sigmoid_(
-    x: np.ndarray, e: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """In-place :func:`stable_sigmoid` over ``x`` using caller scratch.
-
-    ``e`` (same shape/dtype as ``x``) and ``mask`` (same shape, bool)
-    are scratch buffers so repeated calls — one per timestep in a
-    compiled kernel — allocate nothing.  Element-for-element the same
-    operations as :func:`stable_sigmoid`: the numerator is 1 where
-    ``x >= 0`` and ``e`` elsewhere, then one division by ``1 + e``.
-    """
-    np.abs(x, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)  # e = exp(-|x|)
-    np.greater_equal(x, 0.0, out=mask)
-    np.copyto(x, e)
-    np.copyto(x, 1.0, where=mask)  # numerator: 1 where x >= 0, else e
-    e += 1.0  # denominator: 1 + e
-    x /= e
-    return x
-
-
 def fast_sigmoid_(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """In-place direct sigmoid ``1 / (1 + exp(-x))`` — the JIT-tier gate.
+    """In-place direct sigmoid ``1 / (1 + exp(-x))`` — the inference gate.
 
-    Half the operation count of :func:`stable_sigmoid_` (no piecewise
-    select), at the cost of overflowing ``exp`` for very negative gate
+    Half the operation count of the piecewise :func:`stable_sigmoid`, at
+    the cost of overflowing ``exp`` for very negative gate
     pre-activations: there ``exp(-x)`` saturates to ``inf`` and the
     reciprocal returns exactly ``0.0``, while the stable form returns a
     denormal ``~1e-40`` — an absolute difference far below the 1e-6
     parity bar.  Everywhere else the two differ by at most a couple of
     ulps.  Callers must run under ``np.errstate(over="ignore")`` (the
-    generated kernels wrap their whole time loop in one).
+    inference kernels wrap their whole time loop in one).
 
     ``e`` is same-shape scratch; the result lands in ``x``.
     """

@@ -1,17 +1,26 @@
-"""Batched no-grad inference kernels (the serving-side forward pass).
+"""The no-grad recurrent kernel (the serving-side forward pass).
 
 Training builds an autograd graph: every LSTM timestep allocates gate
 Tensors, backward closures and parent tuples.  Serving needs none of that,
-so this module re-implements the forward pass of the recurrent layers as
-fused NumPy kernels over raw ndarrays:
+so this module runs the forward pass of the recurrent layers as one fused
+NumPy kernel per cell over raw ndarrays:
 
-* the input-to-gate projection of *every* timestep is computed in one
-  ``(B*T, F) @ (F, 4H)`` BLAS call before the time loop starts;
-* the time loop performs exactly one recurrent matmul per step, writing
-  hidden states into a preallocated ``(B, T, H)`` output buffer;
-* gate nonlinearities reuse the autograd engine's numerically-stable
-  formulations, so inference outputs match the training-mode forward to
-  float32 precision (the parity suite asserts ≤ 1e-6).
+* the input-to-gate projection of *every* timestep is one BLAS call on a
+  time-major ``(T*B, F)`` copy, so ``gates[t]`` is a contiguous
+  ``(B, gates)`` block inside the loop;
+* LSTM weight columns are permuted to ``[i, f, o, g]`` so one in-place
+  :func:`~repro.ml.activations.fast_sigmoid_` covers the three sigmoid
+  gates as a contiguous block (GRU's ``[r, z]`` already are);
+* gate views and scratch buffers are bound once before the loop, which
+  performs exactly one recurrent matmul per step and allocates nothing;
+* hiddens land in a time-major ``(T, B, H)`` buffer — contiguous for the
+  step's write and the next step's matmul — copied into the caller's
+  ``(B, T, H)`` output once, after the last step.
+
+The direct sigmoid differs from the autograd engine's stable form by a
+few ulps at most (the parity suite pins the two at ≤ 1e-6).  It saturates
+``exp`` for very negative pre-activations, so the time loop runs under
+``np.errstate(over="ignore")``.
 
 :func:`iter_chunk_batches` is the multi-sequence batcher underneath
 :meth:`repro.core.perfvec.PerfVec.program_representations` and the serving
@@ -30,74 +39,63 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# the one shared formulation of the gate math (autograd, these reference
-# kernels and the repro.jit code generator all import it from there)
-from repro.ml.activations import stable_sigmoid
+from repro.ml.activations import fast_sigmoid_
 
 __all__ = [
-    "stable_sigmoid",
     "lstm_infer",
     "gru_infer",
     "iter_chunk_batches",
 ]
 
 
-def _jit_kernel(kind: str, cell, batch: int, time: int):
-    """The compiled kernel for one cell dispatch — or None (reference).
-
-    The signature is read off the live call: the cell's layer dims plus
-    the chunk's batch and sequence length.  :mod:`repro.jit` owns every
-    policy question (enabled? cached? compilable?); a None answer keeps
-    the numpy reference path below as the always-on fallback.
-    """
-    from repro import jit
-
-    return jit.kernel_for(
-        kind,
-        input_size=cell.xw.weight.data.shape[0],
-        hidden_size=cell.hidden_size,
-        batch=batch,
-        time=time,
-    )
-
-
 def _as_f32(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float32)
+
+
+def _time_major_gates(x: np.ndarray, wx: np.ndarray, bx: np.ndarray):
+    """Input projection of all T steps in one matmul: ``(T, B, gates)``."""
+    batch, time, feat = x.shape
+    gates = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(
+        time * batch, feat
+    ) @ wx
+    gates += bx
+    return gates.reshape(time, batch, wx.shape[1])
 
 
 def _lstm_cell_infer(
     cell, x: np.ndarray, h0: np.ndarray, c0: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one LSTM cell over ``x (B, T, F)``, writing hiddens into ``out``.
-
-    The input projection for all T steps is hoisted into a single matmul;
-    the loop body is one ``(B, H) @ (H, 4H)`` matmul plus element-wise gate
-    math on preallocated scratch buffers.
-    """
-    batch, time, feat = x.shape
+    """Run one LSTM cell over ``x (B, T, F)``, writing hiddens into ``out``."""
+    batch, time, _ = x.shape
     H = cell.hidden_size
-    wx = cell.xw.weight.data
-    bx = cell.xw.bias.data
-    wh = cell.hw.weight.data
-    gates = x.reshape(batch * time, feat) @ wx
-    gates += bx
-    gates = gates.reshape(batch, time, 4 * H)
+    # sigmoid gates [i, f, o] made contiguous; tanh gate [g] rides last
+    perm = np.r_[0 : 2 * H, 3 * H : 4 * H, 2 * H : 3 * H]
+    wh = np.ascontiguousarray(cell.hw.weight.data[:, perm])
+    gates = _time_major_gates(
+        x,
+        np.ascontiguousarray(cell.xw.weight.data[:, perm]),
+        np.ascontiguousarray(cell.xw.bias.data[perm]),
+    )
     h = _as_f32(h0)
     c = np.array(c0, dtype=np.float32, copy=True)  # mutated in place below
+    outs = np.empty((time, batch, H), dtype=np.float32)
     z = np.empty((batch, 4 * H), dtype=np.float32)
+    zi, zf, zo, zg = (z[:, k * H : (k + 1) * H] for k in range(4))
+    zs = z[:, 0 : 3 * H]  # the [i, f, o] sigmoid block
+    e = np.empty((batch, 3 * H), dtype=np.float32)
     tmp = np.empty((batch, H), dtype=np.float32)
-    for t in range(time):
-        np.matmul(h, wh, out=z)
-        z += gates[:, t]
-        i = stable_sigmoid(z[:, 0:H])
-        f = stable_sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = stable_sigmoid(z[:, 3 * H : 4 * H])
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        h = np.multiply(o, tmp, out=out[:, t])
+    with np.errstate(over="ignore"):
+        for t in range(time):
+            np.matmul(h, wh, out=z)
+            z += gates[t]
+            fast_sigmoid_(zs, e)
+            np.tanh(zg, out=zg)
+            np.multiply(zf, c, out=c)
+            np.multiply(zi, zg, out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            h = np.multiply(zo, tmp, out=outs[t])
+    out[:] = outs.transpose(1, 0, 2)
     return h, c
 
 
@@ -123,28 +121,13 @@ def lstm_infer(
         h0, c0 = state[layer]
         cell = lstm.cells[layer]
         out = np.empty((batch, time, H), dtype=np.float32)
-        kernel = _jit_kernel("lstm", cell, batch, time)
-        if kernel is not None:
-            h, c = kernel(
-                cell.xw.weight.data, cell.xw.bias.data, cell.hw.weight.data,
-                inputs, h0, c0, out,
-            )
-        else:
-            h, c = _lstm_cell_infer(cell, inputs, h0, c0, out)
+        h, c = _lstm_cell_infer(cell, inputs, h0, c0, out)
         final_state.append((h.copy(), c.copy()))
         if lstm.bidirectional:
             rev_cell = lstm.cells_rev[layer]
             zeros = np.zeros((batch, H), dtype=np.float32)
             rev = np.empty_like(out)
-            kernel = _jit_kernel("lstm", rev_cell, batch, time)
-            if kernel is not None:
-                kernel(
-                    rev_cell.xw.weight.data, rev_cell.xw.bias.data,
-                    rev_cell.hw.weight.data, inputs[:, ::-1], zeros, zeros,
-                    rev,
-                )
-            else:
-                _lstm_cell_infer(rev_cell, inputs[:, ::-1], zeros, zeros, rev)
+            _lstm_cell_infer(rev_cell, inputs[:, ::-1], zeros, zeros, rev)
             inputs = np.concatenate([out, rev[:, ::-1]], axis=-1)
         else:
             inputs = out
@@ -154,25 +137,36 @@ def lstm_infer(
 def _gru_cell_infer(
     cell, x: np.ndarray, h0: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    batch, time, feat = x.shape
+    """Run one GRU cell over ``x (B, T, F)``, writing hiddens into ``out``."""
+    batch, time, _ = x.shape
     H = cell.hidden_size
-    wx = cell.xw.weight.data
-    bx = cell.xw.bias.data
     wh = cell.hw.weight.data
-    gates = x.reshape(batch * time, feat) @ wx
-    gates += bx
-    gates = gates.reshape(batch, time, 3 * H)
+    gates = _time_major_gates(x, cell.xw.weight.data, cell.xw.bias.data)
     h = _as_f32(h0)
+    outs = np.empty((time, batch, H), dtype=np.float32)
     hz = np.empty((batch, 3 * H), dtype=np.float32)
-    for t in range(time):
-        np.matmul(h, wh, out=hz)
-        xz = gates[:, t]
-        r = stable_sigmoid(xz[:, 0:H] + hz[:, 0:H])
-        z = stable_sigmoid(xz[:, H : 2 * H] + hz[:, H : 2 * H])
-        n = np.tanh(xz[:, 2 * H : 3 * H] + r * hz[:, 2 * H : 3 * H])
-        np.multiply(1.0 - z, n, out=out[:, t])
-        out[:, t] += z * h
-        h = out[:, t]
+    hrz, hn = hz[:, 0 : 2 * H], hz[:, 2 * H :]
+    rz = np.empty((batch, 2 * H), dtype=np.float32)  # the [r, z] block
+    r, zg = rz[:, 0:H], rz[:, H:]
+    nb = np.empty((batch, H), dtype=np.float32)
+    tmp = np.empty((batch, H), dtype=np.float32)
+    e = np.empty((batch, 2 * H), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        for t in range(time):
+            np.matmul(h, wh, out=hz)
+            xt = gates[t]
+            np.add(xt[:, 0 : 2 * H], hrz, out=rz)
+            fast_sigmoid_(rz, e)
+            np.multiply(r, hn, out=nb)
+            nb += xt[:, 2 * H :]
+            np.tanh(nb, out=nb)
+            ot = outs[t]
+            np.subtract(1.0, zg, out=tmp)
+            np.multiply(tmp, nb, out=ot)
+            np.multiply(zg, h, out=tmp)
+            ot += tmp
+            h = ot
+    out[:] = outs.transpose(1, 0, 2)
     return h
 
 
@@ -189,14 +183,7 @@ def gru_infer(gru, x: np.ndarray, state=None) -> tuple[np.ndarray, list[np.ndarr
     for layer in range(gru.num_layers):
         cell = gru.cells[layer]
         out = np.empty((batch, time, gru.hidden_size), dtype=np.float32)
-        kernel = _jit_kernel("gru", cell, batch, time)
-        if kernel is not None:
-            h = kernel(
-                cell.xw.weight.data, cell.xw.bias.data, cell.hw.weight.data,
-                inputs, state[layer], out,
-            )
-        else:
-            h = _gru_cell_infer(cell, inputs, state[layer], out)
+        h = _gru_cell_infer(cell, inputs, state[layer], out)
         final_state.append(h.copy())
         inputs = out
     return inputs, final_state

@@ -118,8 +118,8 @@ class LSTM(Module):
         if x.ndim != 3:
             raise ValueError("LSTM expects (batch, time, features)")
         if not grad_enabled():
-            # no graph wanted: the fused kernels (and, when enabled, the
-            # repro.jit compiled tier) serve the training-code call sites
+            # no graph wanted: the fused no-grad kernel serves the
+            # training-code call sites
             out, final_state = lstm_infer(self, _raw(x), state)
             return Tensor(out), final_state
         batch, time, _ = x.shape

@@ -2,9 +2,8 @@
 
 One global :data:`REGISTRY` absorbs the counters that used to live as
 ad-hoc dicts scattered across the stack — dispatcher shed/hedge counts,
-micro-batch sizes and flush latency, jit compile/hit activity, feature
-and stage-store cache hits/misses/corruption, queue lease steals and
-expiries.  Everything is recorded unconditionally (a counter bump is a
+micro-batch sizes and flush latency, feature and stage-store cache
+hits/misses/corruption, queue lease steals and expiries.  Everything is recorded unconditionally (a counter bump is a
 lock + dict update — the same cost the old ad-hoc dicts paid), while
 the *expensive* observability surfaces — span logging, flight dumps —
 are gated by ``REPRO_OBS`` in :mod:`repro.obs.trace`.

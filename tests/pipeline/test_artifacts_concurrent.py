@@ -110,7 +110,7 @@ def test_drop_removes_record(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cross-process concurrent publication (mirrors the jit publish test)
+# cross-process concurrent publication
 # ---------------------------------------------------------------------------
 def _concurrent_put(args):
     """Runs in a spawned worker: publish one record for a shared key."""

@@ -108,6 +108,18 @@ def test_bad_payload_is_400(endpoint):
     status, body = _post(f"{endpoint}/v1/predict", {"nope": 1})
     assert status == 400
     assert "benchmark" in body["error"]
+    # wrongly typed fields are bad requests, not unknown benchmarks (404)
+    for field, payload in [
+        ("benchmark", {"benchmark": 5}),
+        ("benchmark", {"benchmark": None}),
+        ("benchmark", {"benchmark": ["505.mcf"]}),
+        ("family", {"benchmark": "505.mcf", "family": 3}),
+        ("artifact", {"benchmark": "505.mcf", "artifact": {"id": "x"}}),
+        ("config", {"benchmark": "505.mcf", "config": 0}),
+    ]:
+        status, body = _post(f"{endpoint}/v1/predict", payload)
+        assert status == 400, payload
+        assert field in body["error"], payload
 
 
 def test_unknown_endpoint_is_404(endpoint):

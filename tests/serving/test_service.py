@@ -166,31 +166,8 @@ def test_serve_request_parsing():
     ) == ServeRequest(benchmark="x")
 
 
-def test_stats_report_jit_activity(service):
+def test_stats_report_service_counters(service):
     service.predict(ServeRequest(benchmark="505.mcf"))
     stats = service.stats()
     assert stats["scale"] == "smoke"
     assert stats["models_cached"] >= 1
-    jit_section = stats["jit"]
-    assert jit_section["enabled"] is True  # default tier
-    # the smoke perfvec model is an lstm: the predict above must have
-    # dispatched compiled kernels (compiled now or already resident)
-    assert jit_section["kernel_calls"] >= 1
-
-
-def test_jit_off_service_matches_jit_on(session):
-    on = PredictionService(session=session)
-    off = PredictionService(
-        scale="smoke", cache_dir=session.cache_dir, jit=False
-    )
-    try:
-        request = ServeRequest(benchmark="505.mcf")
-        times_on = on.predict(request).times
-        times_off = off.predict(request).times
-    finally:
-        on.stop()
-        off.stop()
-    assert times_on.keys() == times_off.keys()
-    for name in times_on:
-        assert times_on[name] == pytest.approx(times_off[name], rel=1e-5)
-    assert off.stats()["jit"]["enabled"] is False
