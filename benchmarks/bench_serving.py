@@ -16,6 +16,11 @@ Measures the serving paths against the same stored model:
   isolating cross-request batching (no coalescing contribution);
 * **engine** — the no-grad fused forward vs the training-mode autograd
   forward on the same inference batch, isolating the kernel win;
+* **queue** — over the same requests, p50 of a lone
+  ``PredictionService.submit(r).result()`` against p50 of the
+  synchronous ``PredictionService.predict(r)``: ``overhead_ms`` is what
+  the micro-batch collector adds to a request that has the engine to
+  itself (continuous batching: no window to wait out);
 * **load** — the multi-worker cluster under sustained **open-loop**
   traffic: for each worker count in ``--workers``, arrivals are issued
   on a fixed schedule (independent of completions, so queueing delay is
@@ -32,8 +37,9 @@ Results are printed and written to ``BENCH_serving.json`` (under
         --workers 1,2
 
 Acceptance bars at smoke scale: ``batched.speedup >= 3`` (serving
-refactor) and with ``--workers 1,2`` a ``>= 1.3x`` throughput ratio at
-2 workers with ``p99 < 10 * p50`` per worker count (cluster refactor).
+refactor), ``queue.overhead_ms < 1`` (continuous batching) and with
+``--workers 1,2`` a ``>= 1.3x`` throughput ratio at 2 workers with
+``p99 < 10 * p50`` per worker count (cluster refactor).
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ def bench_serving(
 ) -> dict:
     from repro.api import Session
     from repro.ml.autograd import Tensor
+    from repro.serving import PredictionService, ServeRequest
     from repro.workloads import TEST_BENCHMARKS
 
     session = Session(scale=scale, cache_dir=cache_dir)
@@ -101,6 +108,22 @@ def bench_serving(
         lambda: model.foundation(Tensor(batch)), repeats=3
     )
 
+    # queue overhead: the same requests submitted one at a time through
+    # the micro-batch collector vs answered synchronously
+    service = PredictionService(session=session)
+    serve_list = [ServeRequest(benchmark=name) for name in request_list]
+    try:
+        for request in serve_list[:len(benchmarks)]:  # warm both LRUs
+            service.submit(request).result()
+        lat_predict = time_each(service.predict, serve_list)
+        lat_submit = time_each(
+            lambda request: service.submit(request).result(), serve_list
+        )
+    finally:
+        service.stop()
+    submit_p50 = 1e3 * percentile(lat_submit, 50)
+    predict_p50 = 1e3 * percentile(lat_predict, 50)
+
     n = len(request_list)
     report = {
         "scale": scale,
@@ -131,6 +154,12 @@ def bench_serving(
             "infer_seconds": t_infer,
             "train_forward_seconds": t_train_fwd,
             "speedup": t_train_fwd / t_infer,
+        },
+        "queue": {
+            "requests": n,
+            "submit_p50_ms": submit_p50,
+            "predict_p50_ms": predict_p50,
+            "overhead_ms": submit_p50 - predict_p50,
         },
     }
     return report
@@ -339,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"engine:  infer {1e3 * engine['infer_seconds']:.2f} ms vs "
           f"train-forward {1e3 * engine['train_forward_seconds']:.2f} ms  "
           f"({engine['speedup']:.2f}x)")
+    q = report["queue"]
+    print(f"queue:   submit p50 {q['submit_p50_ms']:.2f} ms vs predict p50 "
+          f"{q['predict_p50_ms']:.2f} ms  (overhead {q['overhead_ms']:.2f} ms)")
 
     if args.workers:
         worker_counts = [int(w) for w in args.workers.split(",") if w]

@@ -46,6 +46,7 @@ are always on).  Captured traces are inspected with::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -341,6 +342,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if args.workers == 0:
+        # The in-process server answers on one BLAS thread: an idle
+        # OpenBLAS worker spins on a core between requests, and a run
+        # whose collector thread shares that core reads p50 near 15 ms
+        # instead of 6 (2-CPU host).  numpy reads the setting when it
+        # loads, so it is set before the import.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from repro.serving import (
         DispatchPolicy, PredictionCluster, PredictionService, run_server,
     )
@@ -686,7 +694,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
-        help="micro-batch size cap for queued requests",
+        help="most queued requests answered in one engine pass (batching "
+             "is continuous: a batch is what queued while the engine was "
+             "busy, a lone request is answered at once)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=0, metavar="N",

@@ -28,6 +28,11 @@ family or artifact -> 404; overload (queue full / timeout / no
 workers — the :class:`~repro.serving.dispatch.ServingUnavailable`
 family) -> 503 with a ``Retry-After`` header; worker-side errors carry
 their own status; everything else -> 500 with the exception text.
+
+Connection faults never hold a handler thread or print a traceback: a
+body that does not arrive within :data:`READ_TIMEOUT_S` -> 408 and the
+connection closes; a client gone before its reply is dropped quietly.
+Both are counted in ``repro_http_dropped_total{reason=...}``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,22 @@ MAX_BODY = 1 << 20
 #: Header carrying the per-request id (client-supplied or assigned here).
 REQUEST_ID_HEADER = "X-Request-Id"
 
+#: Socket timeout (seconds) per connection: a client that stalls while
+#: sending its request is cut off instead of holding a handler thread.
+READ_TIMEOUT_S = 10.0
+
+
+class _ReadTimeout(Exception):
+    """The request body did not arrive within :data:`READ_TIMEOUT_S`."""
+
+
+def _dropped(reason: str):
+    return REGISTRY.counter(
+        "repro_http_dropped_total",
+        "HTTP connections dropped before a full exchange, by reason.",
+        reason=reason,
+    )
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/2"
@@ -60,6 +81,10 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def service(self):
         return self.server.service  # type: ignore[attr-defined]
+
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup
+        return READ_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if getattr(self.server, "verbose", False):
@@ -81,26 +106,31 @@ class _Handler(BaseHTTPRequestHandler):
         self, status: int, payload: dict, headers: dict | None = None
     ) -> None:
         body = json.dumps(payload).encode()
-        self._send_head(status, "application/json", len(body), headers)
-        self.wfile.write(body)
+        self._send(status, "application/json", body, headers)
 
     def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self._send_head(status, content_type, len(body), None)
-        self.wfile.write(body)
+        self._send(status, content_type, text.encode(), None)
 
-    def _send_head(
-        self, status: int, content_type: str, length: int,
+    def _send(
+        self, status: int, content_type: str, body: bytes,
         headers: dict | None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(length))
-        if self.request_id:
-            self.send_header(REQUEST_ID_HEADER, self.request_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
+        """Write one response; a client already gone is counted, not
+        raised (socketserver would print its traceback)."""
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            if self.request_id:
+                self.send_header(REQUEST_ID_HEADER, self.request_id)
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            self.close_connection = True
+            _dropped("client_disconnect").inc()
+            return
         REGISTRY.counter(
             "repro_http_responses_total",
             "HTTP responses by status code.",
@@ -131,9 +161,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY:
-            raise ValueError("request body too large")
-        return json.loads(self.rfile.read(length) or b"{}")
+        if not 0 <= length <= MAX_BODY:
+            self.close_connection = True  # the body is left unread
+            raise ValueError(
+                "request body too large" if length > 0
+                else f"invalid Content-Length: {length}"
+            )
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            _dropped("read_timeout").inc()
+            raise _ReadTimeout(
+                f"request body not received within {READ_TIMEOUT_S:g}s"
+            )
+        return json.loads(raw or b"{}")
 
     # -- GET --------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -176,12 +218,15 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST -------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self._assign_request_id()
-        if self.path == "/v1/predict":
-            self._post_predict()
-        elif self.path == "/v1/swap":
-            self._post_swap()
-        else:
-            self._error(404, f"no such endpoint: {self.path}")
+        try:
+            if self.path == "/v1/predict":
+                self._post_predict()
+            elif self.path == "/v1/swap":
+                self._post_swap()
+            else:
+                self._error(404, f"no such endpoint: {self.path}")
+        except _ReadTimeout as exc:
+            self._error(408, str(exc))
 
     def _post_predict(self) -> None:
         try:

@@ -16,8 +16,10 @@ provides:
   future; a collector thread drains the queue, groups requests by model
   and answers each group through one batched no-grad engine pass.  The
   single-process HTTP frontend submits every request here, so concurrent
-  clients batch together automatically.  Partial batches flush on the
-  batching-window deadline even when no follow-up traffic arrives.
+  clients batch together automatically.  Batching is continuous: the
+  collector flushes as soon as the engine is free, taking whatever
+  queued up meanwhile (at most ``max_batch``).  A lone request goes
+  straight to the engine; no timer ever holds it back.
 
 :meth:`predict` / :meth:`predict_batch` are the same path called
 synchronously (no queue) — useful in scripts and tests, and the inner
@@ -124,6 +126,10 @@ class ServeResult:
         )
 
 
+#: A queued request: (request, its future, ``perf_counter`` at enqueue).
+_Queued = tuple[ServeRequest, Future, float]
+
+
 class _LRU:
     """A tiny thread-unsafe LRU (callers hold the service lock)."""
 
@@ -160,7 +166,6 @@ class PredictionService:
         model_cache: int = 4,
         feature_cache: int = 64,
         max_batch: int = 64,
-        batch_window_s: float = 0.002,
         mmap: bool = False,
         frontend: str | None = None,
     ):
@@ -169,7 +174,6 @@ class PredictionService:
             **({"frontend": frontend} if frontend else {}),
         )
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.mmap = mmap
         self._models = _LRU(model_cache)
         self._features = _LRU(feature_cache)
@@ -185,6 +189,10 @@ class PredictionService:
         self._flush_hist = REGISTRY.histogram(
             "repro_microbatch_flush_seconds",
             "Wall time to answer one micro-batch.",
+        )
+        self._queue_wait_hist = REGISTRY.histogram(
+            "repro_microbatch_queue_wait_seconds",
+            "Time a request spent queued before its micro-batch started.",
         )
         self._cache_events = {
             (cache, outcome): REGISTRY.counter(
@@ -328,7 +336,7 @@ class PredictionService:
         """
         future: Future = Future()
         self.start()
-        self._queue.put((request, future))
+        self._queue.put((request, future, time.perf_counter()))
         return future
 
     def start(self) -> None:
@@ -359,37 +367,38 @@ class PredictionService:
             elif self._stopping.is_set():
                 return
 
-    def _drain(self) -> list[tuple[ServeRequest, Future]]:
-        """One micro-batch: the first request plus whatever arrives within
-        the batching window, capped at ``max_batch``.
+    def _drain(self) -> list[_Queued]:
+        """One micro-batch: block for the first request, then take
+        whatever else is already queued, capped at ``max_batch``.
 
-        The deadline is absolute: a partial batch flushes when the window
-        expires even if no follow-up request ever arrives."""
-        batch: list[tuple[ServeRequest, Future]] = []
+        Nothing waits on a timer.  Under load a batch is what queued up
+        while the engine answered the previous one; a lone request goes
+        straight to the engine.  The 50 ms poll only lets the loop
+        notice :meth:`stop`."""
         try:
-            batch.append(self._queue.get(timeout=0.05))
+            batch = [self._queue.get(timeout=0.05)]
         except queue.Empty:
-            return batch
-        deadline = time.monotonic() + self.batch_window_s
+            return []
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                batch.append(self._queue.get(timeout=remaining))
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
         return batch
 
-    def _answer(self, batch: list[tuple[ServeRequest, Future]]) -> None:
+    def _answer(self, batch: list[_Queued]) -> None:
         started = time.perf_counter()
-        with obs.span("service.microbatch", size=len(batch)):
+        waits = [started - enqueued for _, _, enqueued in batch]
+        for wait in waits:
+            self._queue_wait_hist.observe(wait)
+        with obs.span("service.microbatch", size=len(batch),
+                      queue_wait_ms=1e3 * max(waits)):
             outcomes = self.predict_each(
-                [request for request, _ in batch]
+                [request for request, _, _ in batch]
             )
         self._batch_size_hist.observe(len(batch))
         self._flush_hist.observe(time.perf_counter() - started)
-        for (_, future), outcome in zip(batch, outcomes):
+        for (_, future, _), outcome in zip(batch, outcomes):
             if isinstance(outcome, Exception):
                 future.set_exception(outcome)
             else:

@@ -1,14 +1,20 @@
 """Serving round-trip: start the HTTP service, POST, compare to Session."""
 
 import json
+import os
+import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import Session
+from repro.obs.metrics import REGISTRY
 from repro.serving import PredictionService, make_server
+from repro.serving import http as serving_http
 
 SPEC = dict(arch="lstm-1-8", chunk_len=16, batch_size=8, epochs=1)
 BENCHMARKS = ("999.specrand", "505.mcf")
@@ -199,3 +205,112 @@ def test_metrics_endpoint_parses_with_core_series(endpoint):
         >= 1
     assert any(k.startswith('repro_http_responses_total{status="200"}')
                for k in samples)
+
+
+# ---------------------------------------------------------------------------
+# connection faults: bad lengths, stalled bodies, vanished clients
+# ---------------------------------------------------------------------------
+def _raw_exchange(endpoint, raw: bytes, timeout: float = 5.0) -> bytes:
+    """Send ``raw`` on a fresh socket; everything read until the server
+    closes the connection (raises ``TimeoutError`` if it never does)."""
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _dropped(reason):
+    return REGISTRY.counter("repro_http_dropped_total", reason=reason).value
+
+
+def _status(reply: bytes) -> bytes:
+    return reply.split(b"\r\n", 1)[0].split()[1]
+
+
+def test_negative_content_length_is_400_not_a_hang(endpoint):
+    # rfile.read(-1) would block until the client closed the socket
+    reply = _raw_exchange(
+        endpoint,
+        b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: -1\r\n\r\n",
+    )
+    assert _status(reply) == b"400"
+    assert b"invalid Content-Length: -1" in reply
+
+
+def test_short_body_times_out_with_408(endpoint, monkeypatch):
+    monkeypatch.setattr(serving_http, "READ_TIMEOUT_S", 0.2)
+    before = _dropped("read_timeout")
+    started = time.monotonic()
+    reply = _raw_exchange(
+        endpoint,
+        b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 100\r\n\r\n{\"benchmark\"",
+    )
+    assert time.monotonic() - started < 4.0
+    assert _status(reply) == b"408"
+    assert _dropped("read_timeout") == before + 1
+
+
+def test_client_gone_before_reply_is_counted_without_traceback(
+    session, capfd
+):
+    service = PredictionService(session=session)
+    entered, release = threading.Event(), threading.Event()
+    predict_each = service.predict_each
+
+    def held(requests):
+        entered.set()
+        assert release.wait(30)
+        return predict_each(requests)
+
+    service.predict_each = held
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    before = _dropped("client_disconnect")
+    try:
+        body = json.dumps({"benchmark": "505.mcf"}).encode()
+        sock = socket.create_connection(server.server_address, timeout=5)
+        sock.sendall(
+            b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        assert entered.wait(30)
+        # linger 0: close() sends RST, so the reply write fails
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        time.sleep(0.1)
+        release.set()
+        deadline = time.monotonic() + 30
+        while (_dropped("client_disconnect") == before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+        service.stop()
+    assert _dropped("client_disconnect") == before + 1
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_in_process_serve_answers_on_one_blas_thread(monkeypatch, tmp_path):
+    import repro.serving
+    from repro.cli import main
+
+    monkeypatch.setattr(repro.serving, "run_server", lambda *a, **k: None)
+    argv = ["serve", "--scale", "smoke", "--cache-dir", str(tmp_path)]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    # an operator's explicit setting wins
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"

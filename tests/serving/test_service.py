@@ -1,13 +1,16 @@
 """PredictionService: caching, grouping, micro-batching."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.api import Session
 from repro.core.errors import UnknownBenchmarkError
 from repro.models import StoreError
+from repro.obs.metrics import REGISTRY
 from repro.serving import PredictionService, ServeRequest
 from repro.serving.service import _LRU
 
@@ -91,12 +94,10 @@ def test_submit_micro_batches(service, session):
 
 
 def test_partial_batch_flushes_on_deadline_without_follow_up(session):
-    # regression: a lone request must flush when the batching window
-    # expires — with *zero* follow-up traffic it must not sit waiting
-    # for max_batch companions that will never arrive
-    service = PredictionService(
-        session=session, max_batch=64, batch_window_s=0.05
-    )
+    # regression: a lone request must be answered with *zero* follow-up
+    # traffic — it must not sit waiting for max_batch companions that
+    # will never arrive
+    service = PredictionService(session=session, max_batch=64)
     try:
         start = time.monotonic()
         result = service.submit(ServeRequest(benchmark="505.mcf")).result(
@@ -106,8 +107,55 @@ def test_partial_batch_flushes_on_deadline_without_follow_up(session):
     finally:
         service.stop()
     assert result.benchmark == "505.mcf"
-    # window (50ms) + one engine pass; far under any "hang" threshold
+    # one engine pass; far under any "hang" threshold
     assert elapsed < 5.0
+
+
+def test_requests_queued_behind_a_busy_engine_form_the_next_batch(
+    session, monkeypatch, tmp_path
+):
+    # continuous batching: while the engine answers one batch, new
+    # requests queue; the collector takes all of them together as soon
+    # as the engine is free, and every request's queue wait is observed
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
+    obs.reset_for_tests()
+    service = PredictionService(session=session, max_batch=64)
+    entered, release = threading.Event(), threading.Event()
+    sizes: list[int] = []
+    predict_each = service.predict_each
+
+    def held(requests):
+        sizes.append(len(requests))
+        if len(sizes) == 1:
+            entered.set()
+            assert release.wait(30)
+        return predict_each(requests)
+
+    monkeypatch.setattr(service, "predict_each", held)
+    names = ["505.mcf", "999.specrand", "505.mcf", "999.specrand", "505.mcf"]
+    waits = REGISTRY.histogram("repro_microbatch_queue_wait_seconds")
+    before = waits.count
+    try:
+        first = service.submit(ServeRequest(benchmark="505.mcf"))
+        assert entered.wait(30)
+        queued = [service.submit(ServeRequest(benchmark=n)) for n in names]
+        time.sleep(0.2)  # the queued five wait at least this long
+        release.set()
+        results = [f.result(timeout=60) for f in [first, *queued]]
+    finally:
+        release.set()
+        service.stop()
+        spans = [r for r in obs.flight_snapshot()
+                 if r["name"] == "service.microbatch"]
+        obs.reset_for_tests()
+    assert sizes == [1, 5]
+    assert [r.benchmark for r in results[1:]] == names
+    assert waits.count - before == 6
+    # each batch's span carries its largest queue wait
+    assert [r["attrs"]["size"] for r in spans] == [1, 5]
+    assert spans[1]["attrs"]["queue_wait_ms"] >= 200
 
 
 def test_submit_surfaces_errors_per_request(service):
