@@ -6,9 +6,9 @@ printed, saved as JSON under the results dir (``REPRO_RESULTS_DIR`` /
 ``<cache root>/results``) and appended to ``BENCH_REPORT.txt`` there, so
 the regenerated rows survive pytest's output capture.
 
-Experiments share in-process caches (trained foundations, simulated
-datasets), so the first benchmark of a session pays the training cost and
-the rest reuse it — run the whole directory in one pytest invocation.
+Experiments share the on-disk caches (simulated datasets, the model
+store, per-stage artifacts), so the first benchmark to need a foundation
+pays its training cost and the rest reuse it.
 Trace simulations fan out across ``REPRO_BENCH_JOBS`` worker processes
 (default: all cores; set 1 to force serial).
 """
@@ -20,8 +20,8 @@ import threading
 import time
 
 from repro.cache import results_dir
-from repro.experiments import run_experiment
 from repro.experiments.common import ExperimentResult
+from repro.pipeline import run_spec
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "bench")
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0"))  # 0 = all cores
@@ -155,7 +155,7 @@ def metrics_block() -> dict:
 
 def run_and_record(name: str) -> ExperimentResult:
     """Run one experiment, persist and report its rows."""
-    result = run_experiment(name, scale=SCALE, jobs=JOBS)
+    result = run_spec(name, scale=SCALE, jobs=JOBS).result
     text = result.render()
     print(text)
     result.save()

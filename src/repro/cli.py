@@ -26,8 +26,8 @@ benchmark names against another trace frontend (``repro frontends
 list``); imported external traces serve via ``--isa imported``.
 
 Every runner subcommand takes ``--jobs N`` (default: all cores) to fan
-trace simulations — and, for ``run-all``/pipelines, whole
-experiments/stages — out across worker processes via
+trace simulations — and, for ``run-all``/pipelines, independent
+stages — out across worker processes via
 :mod:`repro.runtime`, ``--cache-dir DIR`` to redirect every on-disk
 cache (datasets + models + stage artifacts; equivalent to setting
 ``REPRO_CACHE_DIR``), and ``--results-dir DIR`` to redirect result JSON
@@ -63,20 +63,27 @@ def _progress(total: int):
 
 
 def _cmd_list(_args) -> int:
-    from repro.experiments import EXPERIMENTS, SCALES
+    from repro.experiments import SCALES
+    from repro.pipeline.presets import SPECS
 
     print("experiments:")
-    for name in EXPERIMENTS:
+    for name in SPECS:
         print(f"  {name}")
     print("scales:", ", ".join(SCALES))
     return 0
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments import run_experiment
+    from repro.core.errors import UnknownExperimentError
+    from repro.pipeline import run_spec
+    from repro.pipeline.presets import SPECS
 
+    if args.experiment not in SPECS:
+        raise UnknownExperimentError(args.experiment, SPECS)
     print(_resolved_header(f"run {args.experiment}", args.scale, args.jobs))
-    result = run_experiment(args.experiment, scale=args.scale, jobs=args.jobs)
+    result = run_spec(
+        SPECS[args.experiment], scale=args.scale, jobs=args.jobs
+    ).result
     print(result.render())
     if args.save:
         path = result.save()
@@ -85,12 +92,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    from repro.experiments import EXPERIMENTS, run_all
+    from repro.pipeline.runner import run_all
 
     print(_resolved_header("run-all", args.scale, args.jobs))
     outcomes = run_all(
-        scale=args.scale, jobs=args.jobs,
-        progress=_progress(len(EXPERIMENTS)), save=True,
+        scale=args.scale, jobs=args.jobs, progress=_progress(0), save=True,
     )
     failures = []
     for outcome in outcomes:

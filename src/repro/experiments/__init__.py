@@ -1,12 +1,12 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every experiment is a declarative :mod:`repro.pipeline` spec (the
-module's ``SPEC``) plus a registered analysis function; ``run(scale) ->
-ExperimentResult`` is a thin shim that executes the spec through the
-pipeline runner with per-stage artifact reuse.  The modules are
-registered in :mod:`~repro.experiments.registry` (run callables) and
-:mod:`repro.pipeline.presets` (specs); ``python -m repro`` is the CLI
-front end (see ``README.md`` for the experiment/figure table).
+module's ``SPEC``) plus a registered analysis function that reads its
+dataset and model from the upstream stage payloads.  The specs are
+collected in :mod:`repro.pipeline.presets` and executed by the pipeline
+runner (:func:`repro.pipeline.run_spec` for one,
+:func:`repro.pipeline.runner.run_all` for a batch); ``python -m repro``
+is the CLI front end (see ``README.md`` for the experiment/figure table).
 
 ==========================  =============================================
 module                      reproduces
@@ -32,20 +32,10 @@ from repro.experiments.common import (
     ScaleConfig,
     get_scale,
 )
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentOutcome,
-    run_all,
-    run_experiment,
-)
 
 __all__ = [
     "SCALES",
     "ExperimentResult",
     "ScaleConfig",
     "get_scale",
-    "EXPERIMENTS",
-    "ExperimentOutcome",
-    "run_all",
-    "run_experiment",
 ]

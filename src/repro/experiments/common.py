@@ -1,4 +1,4 @@
-"""Shared experiment data layer: scale presets and memoized ingredients.
+"""Shared experiment ingredients: scale presets, config sources, helpers.
 
 Scale presets trade fidelity for runtime:
 
@@ -7,12 +7,15 @@ Scale presets trade fidelity for runtime:
 * ``paper`` — the documented offline configuration (77 microarchitectures,
   LSTM-2-256); hours on a CPU box.
 
-Simulation results are cached on disk by :mod:`repro.features.dataset`;
-trained foundation models are memoized in-process per (scale, split) *and*
-persisted through :class:`repro.models.store.ModelStore`, so Figs. 3-8
-share models exactly as the paper does ("The updated model is used in the
-following experiments") and repeat invocations — including fresh
-processes — load the stored artifact instead of retraining.
+This module holds no cache of its own.  Datasets and models reach an
+analysis through its upstream stage payloads
+(:func:`repro.pipeline.stages.open_dataset` /
+:func:`~repro.pipeline.stages.open_model`): simulations live in the
+on-disk dataset cache and trained foundations in the
+:class:`repro.models.store.ModelStore`, so Figs. 3-8 share models exactly
+as the paper does ("The updated model is used in the following
+experiments") and repeat invocations load the stored artifact instead of
+retraining.
 
 Result containers and rendering live in :mod:`repro.pipeline.report`
 (re-exported here for compatibility); experiment *structure* lives in
@@ -31,8 +34,7 @@ from repro.core.errors import (
     error_summary,
 )
 from repro.core.perfvec import PerfVec
-from repro.features.dataset import TraceDataset, build_dataset
-from repro.ml.trainer import TrainHistory
+from repro.features.dataset import TraceDataset
 from repro.pipeline.report import (  # noqa: F401 — compat re-exports
     ExperimentResult,
     render_surface,
@@ -92,53 +94,12 @@ def get_scale(scale: str | ScaleConfig) -> ScaleConfig:
     return SCALES[scale]
 
 
-# ---------------------------------------------------------------------------
-# parallelism default
-# ---------------------------------------------------------------------------
-# Experiments call benchmark_dataset() deep inside their run() functions, so
-# the CLI's --jobs value travels as a process-wide default instead of a
-# parameter threaded through every experiment signature.
-_DEFAULT_JOBS: int = 1
-
-
-def set_default_jobs(jobs: int | None) -> int:
-    """Set the simulation fan-out used by :func:`benchmark_dataset`.
-
-    ``None``/``0`` resolves to all cores. Returns the previous value so
-    callers can restore it (see :func:`repro.experiments.run_experiment`).
-    """
-    from repro.runtime import resolve_jobs
-
-    global _DEFAULT_JOBS
-    previous = _DEFAULT_JOBS
-    _DEFAULT_JOBS = resolve_jobs(jobs)
-    return previous
-
-
-def get_default_jobs() -> int:
-    """Current simulation fan-out (1 = serial)."""
-    return _DEFAULT_JOBS
-
-
-# ---------------------------------------------------------------------------
-# shared data / model construction (memoized)
-# ---------------------------------------------------------------------------
-_CONFIG_CACHE: dict[str, list[MicroarchConfig]] = {}
-_DATASET_CACHE: dict[tuple, TraceDataset] = {}
-#: (model, history, store artifact id) per training identity + store root.
-_MODEL_CACHE: dict[tuple, tuple[PerfVec, TrainHistory, str]] = {}
-
-
 def seen_configs(scale: ScaleConfig) -> list[MicroarchConfig]:
     """The scale's sampled training ("seen") microarchitectures."""
-    cached = _CONFIG_CACHE.get(scale.name)
-    if cached is None:
-        cached = sample_configs(
-            n_ooo=scale.n_ooo, n_inorder=scale.n_inorder, seed=scale.seed,
-            include_presets=scale.include_presets,
-        )
-        _CONFIG_CACHE[scale.name] = cached
-    return cached
+    return sample_configs(
+        n_ooo=scale.n_ooo, n_inorder=scale.n_inorder, seed=scale.seed,
+        include_presets=scale.include_presets,
+    )
 
 
 def unseen_configs(scale: ScaleConfig, count: int = 10) -> list[MicroarchConfig]:
@@ -148,117 +109,6 @@ def unseen_configs(scale: ScaleConfig, count: int = 10) -> list[MicroarchConfig]
         seed=scale.seed + 1000, include_presets=False,
     )[:count]
     return [replace(c, name=f"unseen-{i}-{c.name}") for i, c in enumerate(configs)]
-
-
-def benchmark_dataset(
-    scale: ScaleConfig,
-    benchmarks: tuple[str, ...],
-    configs: list[MicroarchConfig] | None = None,
-    instructions: int | None = None,
-    isa: str | None = None,
-) -> TraceDataset:
-    """Cached dataset over ``benchmarks`` x ``configs``.
-
-    ``isa`` selects the trace frontend benchmark names resolve against
-    (default: the mini-ASM VM).
-    """
-    from repro.frontends import DEFAULT_FRONTEND
-
-    configs = configs if configs is not None else seen_configs(scale)
-    instructions = instructions or scale.instructions
-    isa = isa or DEFAULT_FRONTEND
-    key = (scale.name, tuple(benchmarks), tuple(c.name for c in configs),
-           instructions, isa)
-    ds = _DATASET_CACHE.get(key)
-    if ds is None:
-        ds = build_dataset(
-            list(benchmarks), configs, instructions,
-            jobs=get_default_jobs(), isa=isa,
-        )
-        _DATASET_CACHE[key] = ds
-    return ds
-
-
-def trained_model(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...] = TRAIN_BENCHMARKS,
-    spec: str | None = None,
-    epochs: int | None = None,
-) -> tuple[PerfVec, TrainHistory]:
-    """Train (or fetch) the foundation model for a benchmark split.
-
-    Two cache levels: the in-process memo (so experiments in one run
-    share object identity) and the on-disk :class:`ModelStore` keyed by
-    spec + training provenance + dataset fingerprint (so *repeat
-    invocations in fresh processes* skip retraining entirely).
-    """
-    model, history, _ = _trained_entry(scale, train_benchmarks, spec, epochs)
-    return model, history
-
-
-def trained_artifact(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...] = TRAIN_BENCHMARKS,
-    spec: str | None = None,
-    epochs: int | None = None,
-) -> str:
-    """Train-or-reuse via the same path as :func:`trained_model`,
-    returning the stored artifact id (what pipeline ``train`` stages
-    record as provenance)."""
-    return _trained_entry(scale, train_benchmarks, spec, epochs)[2]
-
-
-def _trained_entry(
-    scale: ScaleConfig,
-    train_benchmarks: tuple[str, ...],
-    spec: str | None,
-    epochs: int | None,
-) -> tuple[PerfVec, TrainHistory, str]:
-    import os
-
-    from repro.models import ModelStore, PerfVecModel
-    from repro.models.store import training_provenance
-
-    spec = spec or scale.spec
-    epochs = epochs or scale.epochs
-    store = ModelStore()  # resolves REPRO_CACHE_DIR at call time
-    # the memo is per store root: redirecting the cache mid-process must
-    # not serve a model the new root's store has never seen
-    key = (scale.name, tuple(train_benchmarks), spec, epochs,
-           os.path.abspath(store.root))
-    cached = _MODEL_CACHE.get(key)
-    if cached is None:
-        dataset = benchmark_dataset(scale, train_benchmarks)
-        fingerprint = dataset.fingerprint()
-        wrapper = PerfVecModel(
-            arch=spec, chunk_len=scale.chunk_len, batch_size=scale.batch_size,
-            epochs=epochs, seed=scale.seed,
-        )
-        train_config = training_provenance(
-            scale.name, "perfvec", train_benchmarks
-        )
-        artifact = store.find(
-            family="perfvec", dataset_fingerprint=fingerprint,
-            spec=wrapper.spec, train_config=train_config,
-        )
-        if artifact is not None:
-            wrapper = store.load(artifact, expect_fingerprint=fingerprint)
-        else:
-            wrapper.fit(dataset)
-            artifact = store.put(
-                wrapper, dataset_fingerprint=fingerprint,
-                train_config=train_config,
-            )
-        cached = (wrapper.perfvec, wrapper.history or TrainHistory(), artifact)
-        _MODEL_CACHE[key] = cached
-    return cached
-
-
-def clear_caches() -> None:
-    """Drop all in-process experiment caches (tests)."""
-    _CONFIG_CACHE.clear()
-    _DATASET_CACHE.clear()
-    _MODEL_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,9 @@ all later experiments use.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-)
+from repro.experiments.common import total_time_errors
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import open_dataset, open_model
 from repro.workloads import ALL_BENCHMARKS, TEST_BENCHMARKS, TRAIN_BENCHMARKS
 
 #: The Fig. 4 training split: Table II's training set plus 519.lbm.
@@ -26,9 +23,9 @@ UPDATED_TEST: tuple[str, ...] = tuple(
 @analysis("fig4_retrain_lbm")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    before_model, _ = trained_model(cfg, TRAIN_BENCHMARKS)
-    after_model, _ = trained_model(cfg, UPDATED_TRAIN)
-    dataset = benchmark_dataset(cfg, tuple(ALL_BENCHMARKS))
+    before_model = open_model(ctx, inputs["foundation_before"]).perfvec
+    after_model = open_model(ctx, inputs["foundation_after"]).perfvec
+    dataset = open_dataset(ctx, inputs["suite_data"])
     before = total_time_errors(before_model, dataset, cfg.chunk_len)
     after = total_time_errors(after_model, dataset, cfg.chunk_len)
 
@@ -72,16 +69,9 @@ SPEC = ExperimentSpec(
         stage("foundation_after", "train", benchmarks="updated-train",
               needs=("suite_data",)),
         stage("analyze", "analysis", fn="fig4_retrain_lbm",
-              needs=("foundation_before", "foundation_after")),
+              needs=("foundation_before", "foundation_after", "suite_data")),
         stage("report", "report",
               title="Accuracy after moving 519.lbm into training",
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

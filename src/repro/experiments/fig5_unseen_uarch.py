@@ -10,15 +10,10 @@ representations.  Paper result: 4.2% average error for seen programs and
 from __future__ import annotations
 
 from repro.core.finetune import learn_unseen_uarch_table
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-    unseen_configs,
-)
+from repro.experiments.common import total_time_errors
 from repro.experiments.fig4_retrain_lbm import UPDATED_TEST, UPDATED_TRAIN
 from repro.pipeline import ExperimentSpec, analysis, stage
-from repro.workloads import ALL_BENCHMARKS
+from repro.pipeline.stages import open_dataset, open_model
 
 #: Seen programs used to build the unseen-uarch tuning dataset.
 TUNING_BENCHMARKS: tuple[str, ...] = ("525.x264", "544.nab", "557.xz")
@@ -30,17 +25,14 @@ DEFAULT_N_UNSEEN = 10
 @analysis("fig5_unseen_uarch")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    n_unseen = int(params.get("n_unseen", DEFAULT_N_UNSEEN))
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
-    targets = unseen_configs(cfg, n_unseen)
-
-    tuning = benchmark_dataset(cfg, TUNING_BENCHMARKS, configs=targets)
+    model = open_model(ctx, inputs["foundation"]).perfvec
+    tuning = open_dataset(ctx, inputs["tuning_data"])
     table = learn_unseen_uarch_table(
         model, tuning.features, tuning.targets,
         config_names=tuning.config_names, chunk_len=cfg.chunk_len,
     )
 
-    dataset = benchmark_dataset(cfg, tuple(ALL_BENCHMARKS), configs=targets)
+    dataset = open_dataset(ctx, inputs["eval_data"])
     errors = total_time_errors(
         model, dataset, cfg.chunk_len, table=table.table.data
     )
@@ -60,7 +52,7 @@ def analyze(ctx, params, inputs) -> dict:
         "metrics": {
             "avg_seen_error": sum(seen) / len(seen),
             "avg_unseen_error": sum(unseen) / len(unseen),
-            "unseen_uarch_count": float(len(targets)),
+            "unseen_uarch_count": float(dataset.num_configs),
         },
         "notes": [
             "foundation frozen; only microarchitecture representations "
@@ -83,24 +75,9 @@ SPEC = ExperimentSpec(
         stage("eval_data", "dataset", benchmarks="all",
               configs="unseen", count=DEFAULT_N_UNSEEN),
         stage("analyze", "analysis", fn="fig5_unseen_uarch",
-              n_unseen=DEFAULT_N_UNSEEN,
               needs=("foundation", "tuning_data", "eval_data")),
         stage("report", "report",
               title="Prediction error on unseen microarchitectures",
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench", n_unseen: int = DEFAULT_N_UNSEEN):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    spec = SPEC
-    if n_unseen != DEFAULT_N_UNSEEN:
-        spec = SPEC.override({
-            "tuning_data.count": n_unseen,
-            "eval_data.count": n_unseen,
-            "analyze.n_unseen": n_unseen,
-        })
-    return run_spec(spec, scale=scale).result

@@ -16,13 +16,10 @@ partially interrupted sweep resumes from the architectures it finished.
 from __future__ import annotations
 
 from repro.core.foundation import parse_spec
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    trained_model,
-)
+from repro.experiments.common import total_time_errors
 from repro.pipeline import ExperimentSpec, analysis, stage
-from repro.workloads import TEST_BENCHMARKS, TRAIN_BENCHMARKS
+from repro.pipeline.stages import open_dataset
+from repro.workloads import TRAIN_BENCHMARKS
 
 
 def sweep_specs(base_dim: int) -> list[str]:
@@ -44,22 +41,27 @@ def sweep_specs(base_dim: int) -> list[str]:
 
 @analysis("fig6_ablation_arch")
 def analyze(ctx, params, inputs) -> dict:
+    from repro.api import Session
+
     cfg = ctx.scale
     # the sweep trains ~10 models; halve the width to keep it tractable
     base_dim = max(parse_spec(cfg.spec).dim // 2, 8)
-    dataset = benchmark_dataset(cfg, tuple(TEST_BENCHMARKS))
+    dataset = open_dataset(ctx, inputs["test_data"])
+    session = Session(scale=cfg, cache_dir=ctx.cache_dir, jobs=ctx.jobs)
     rows = []
     errors_by_spec: dict[str, float] = {}
     for spec in sweep_specs(base_dim):
-        model, history = trained_model(
-            cfg, TRAIN_BENCHMARKS, spec=spec, epochs=cfg.ablation_epochs
-        )
+        trained = session.train(
+            benchmarks=TRAIN_BENCHMARKS, evaluate=False, arch=spec,
+            epochs=cfg.ablation_epochs,
+        ).model
+        model = trained.perfvec
         errs = total_time_errors(model, dataset, cfg.chunk_len)
         avg = sum(s.mean for s in errs.values()) / len(errs)
         errors_by_spec[spec] = avg
         rows.append(
             [spec, model.foundation.num_parameters(), f"{avg:.1%}",
-             f"{history.best_val_loss:.4g}"]
+             f"{trained.history.best_val_loss:.4g}"]
         )
     best = min(errors_by_spec, key=errors_by_spec.get)
     return {
@@ -93,10 +95,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

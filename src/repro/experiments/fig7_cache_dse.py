@@ -22,14 +22,10 @@ from repro.core.dse import CacheDSE
 from repro.core.perfvec import PerfVec
 from repro.core.predictor import TICK_SCALE
 from repro.core.uarch_model import cache_size_params, train_uarch_model
-from repro.experiments.common import (
-    ScaleConfig,
-    benchmark_dataset,
-    render_surface,
-    trained_model,
-)
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
+from repro.experiments.common import render_surface
+from repro.features.dataset import build_dataset
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import StageContext, open_model
 from repro.uarch.presets import cortex_a7_like
 from repro.workloads import ALL_BENCHMARKS
 
@@ -40,17 +36,18 @@ DSE_TUNING_CONFIGS = 18
 
 
 def dse_ground_truth(
-    cfg: ScaleConfig, dse: CacheDSE, benchmarks: tuple[str, ...]
+    ctx: StageContext, dse: CacheDSE, benchmarks: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     """Exhaustive-simulation times (ticks) per program over the grid."""
-    ds = benchmark_dataset(
-        cfg, benchmarks, configs=dse.configs, instructions=cfg.dse_instructions
+    ds = build_dataset(
+        list(benchmarks), dse.configs, ctx.scale.dse_instructions,
+        jobs=ctx.jobs,
     )
     return ds.total_times()
 
 
 def perfvec_dse_times(
-    cfg: ScaleConfig,
+    ctx: StageContext,
     model: PerfVec,
     dse: CacheDSE,
     benchmarks: tuple[str, ...],
@@ -58,19 +55,20 @@ def perfvec_dse_times(
     tuning_configs: int = DSE_TUNING_CONFIGS,
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """PerfVec-predicted times per program over the grid, plus overhead info."""
+    cfg = ctx.scale
     sample_idx = dse.sample_configs(min(tuning_configs, len(dse)), seed=cfg.seed)
     tuning_cfgs = [dse.configs[i] for i in sample_idx]
-    tune_ds = benchmark_dataset(
-        cfg, tuning_benchmarks, configs=tuning_cfgs,
-        instructions=cfg.dse_instructions,
+    tune_ds = build_dataset(
+        list(tuning_benchmarks), tuning_cfgs, cfg.dse_instructions,
+        jobs=ctx.jobs,
     )
     uarch = train_uarch_model(
         model, tuning_cfgs, tune_ds.features, tune_ds.targets,
         extractor=cache_size_params, chunk_len=cfg.chunk_len, seed=cfg.seed,
     )
     m_all = uarch.representations(dse.configs, cache_size_params)  # (G, d)
-    feats_ds = benchmark_dataset(
-        cfg, benchmarks, configs=dse.configs, instructions=cfg.dse_instructions
+    feats_ds = build_dataset(
+        list(benchmarks), dse.configs, cfg.dse_instructions, jobs=ctx.jobs
     )
     times: dict[str, np.ndarray] = {}
     for name in benchmarks:
@@ -93,13 +91,13 @@ def analyze(ctx, params, inputs) -> dict:
         params.get("tuning_benchmarks", DSE_TUNING_BENCHMARKS)
     )
     tuning_configs = int(params.get("tuning_configs", DSE_TUNING_CONFIGS))
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = open_model(ctx, inputs["foundation"]).perfvec
     dse = CacheDSE(cortex_a7_like())
     benchmarks = tuple(ALL_BENCHMARKS)
 
-    truth = dse_ground_truth(cfg, dse, benchmarks)
+    truth = dse_ground_truth(ctx, dse, benchmarks)
     predicted, overhead = perfvec_dse_times(
-        cfg, model, dse, benchmarks,
+        ctx, model, dse, benchmarks,
         tuning_benchmarks=tuning_benchmarks, tuning_configs=tuning_configs,
     )
 
@@ -168,10 +166,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

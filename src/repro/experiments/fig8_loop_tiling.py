@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.core.finetune import learn_unseen_uarch_table
 from repro.core.predictor import TICK_SCALE
-from repro.experiments.common import benchmark_dataset, trained_model
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
 from repro.features import encode_trace
+from repro.features.dataset import build_dataset
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import open_model
 from repro.sim import simulate
 from repro.uarch.presets import cortex_a7_like
 from repro.vm import run_program
@@ -41,12 +41,11 @@ def analyze(ctx, params, inputs) -> dict:
     matrix_n = int(params.get("matrix_n", MATRIX_N))
     tiles = tuple(int(t) for t in params.get("tiles", TILES))
     a7 = cortex_a7_like()
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = open_model(ctx, inputs["foundation"]).perfvec
     budget = max(cfg.dse_instructions, 4000)
 
     # learn the A7's representation once, from seen-program tuning data
-    tune = benchmark_dataset(cfg, ("525.x264", "557.xz"), configs=[a7],
-                             instructions=budget)
+    tune = build_dataset(["525.x264", "557.xz"], [a7], budget, jobs=ctx.jobs)
     table = learn_unseen_uarch_table(
         model, tune.features, tune.targets, chunk_len=cfg.chunk_len
     )
@@ -106,10 +105,3 @@ SPEC = ExperimentSpec(
         stage("report", "report", needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -9,15 +9,14 @@ hours — near-constant in k instead of linear.
 from __future__ import annotations
 
 from repro.core.training import FoundationTrainConfig, naive_training_step_cost
-from repro.experiments.common import benchmark_dataset
 from repro.pipeline import ExperimentSpec, analysis, stage
-from repro.workloads import TRAIN_BENCHMARKS
+from repro.pipeline.stages import open_dataset
 
 
 @analysis("sec4b_reuse")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    full = benchmark_dataset(cfg, TRAIN_BENCHMARKS)
+    full = open_dataset(ctx, inputs["train_data"])
     k_values = sorted({max(2, full.num_configs // 4), full.num_configs // 2,
                        full.num_configs})
     rows = []
@@ -58,10 +57,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

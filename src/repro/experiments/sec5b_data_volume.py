@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from repro.core.finetune import learn_unseen_uarch_table
 from repro.core.training import FoundationTrainConfig, train_foundation
-from repro.experiments.common import (
-    benchmark_dataset,
-    total_time_errors,
-    unseen_configs,
-)
+from repro.experiments.common import seen_configs, total_time_errors
+from repro.features.dataset import build_dataset
 from repro.pipeline import ExperimentSpec, analysis, stage
-from repro.workloads import TEST_BENCHMARKS, TRAIN_BENCHMARKS
+from repro.pipeline.stages import open_dataset
+from repro.workloads import TRAIN_BENCHMARKS
 
 INSTRUCTION_FRACTIONS = (0.1, 0.5, 1.0)
 
@@ -35,11 +33,12 @@ def analyze(ctx, params, inputs) -> dict:
     metrics: dict[str, float] = {}
 
     # --- axis 1: instruction volume ------------------------------------
-    test_ds = benchmark_dataset(cfg, tuple(TEST_BENCHMARKS))
+    test_ds = open_dataset(ctx, inputs["test_data"])
     frac_errors = []
     for frac in INSTRUCTION_FRACTIONS:
         n = max(int(cfg.instructions * frac), 4 * cfg.chunk_len)
-        train_ds = benchmark_dataset(cfg, TRAIN_BENCHMARKS, instructions=n)
+        train_ds = build_dataset(list(TRAIN_BENCHMARKS), seen_configs(cfg), n,
+                                 jobs=ctx.jobs)
         model, _ = train_foundation(
             train_ds,
             FoundationTrainConfig(
@@ -54,11 +53,10 @@ def analyze(ctx, params, inputs) -> dict:
         metrics[f"error_at_{int(frac * 100)}pct_instructions"] = err
 
     # --- axis 2: microarchitecture count --------------------------------
-    full_ds = benchmark_dataset(cfg, TRAIN_BENCHMARKS)
+    full_ds = open_dataset(ctx, inputs["train_data"])
     few = max(3, full_ds.num_configs // 3)
-    unseen = unseen_configs(cfg, 6)
-    tune_ds = benchmark_dataset(cfg, ("525.x264", "557.xz"), configs=unseen)
-    eval_ds = benchmark_dataset(cfg, tuple(TEST_BENCHMARKS), configs=unseen)
+    tune_ds = open_dataset(ctx, inputs["unseen_tune_data"])
+    eval_ds = open_dataset(ctx, inputs["unseen_eval_data"])
     for label, ds in (
         (f"{few} uarchs", full_ds.select_configs(range(few))),
         (f"{full_ds.num_configs} uarchs", full_ds),
@@ -119,10 +117,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -13,11 +13,11 @@ import dataclasses
 import numpy as np
 
 from repro.core.training import FoundationTrainConfig, train_foundation
-from repro.experiments.common import benchmark_dataset, total_time_errors
+from repro.experiments.common import total_time_errors
 from repro.features.dataset import TraceDataset
 from repro.features.encoder import FeatureGroups
 from repro.pipeline import ExperimentSpec, analysis, stage
-from repro.workloads import TEST_BENCHMARKS, TRAIN_BENCHMARKS
+from repro.pipeline.stages import open_dataset
 
 
 def mask_memory_branch_features(dataset: TraceDataset) -> TraceDataset:
@@ -36,8 +36,8 @@ def _avg_error(errors) -> float:
 @analysis("sec5b_features")
 def analyze(ctx, params, inputs) -> dict:
     cfg = ctx.scale
-    train_ds = benchmark_dataset(cfg, TRAIN_BENCHMARKS)
-    test_ds = benchmark_dataset(cfg, tuple(TEST_BENCHMARKS))
+    train_ds = open_dataset(ctx, inputs["train_data"])
+    test_ds = open_dataset(ctx, inputs["test_data"])
     tc = FoundationTrainConfig(
         spec=cfg.spec, chunk_len=cfg.chunk_len, batch_size=cfg.batch_size,
         epochs=cfg.ablation_epochs, seed=cfg.seed,
@@ -85,10 +85,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.baselines.ithemal import IthemalModel, extract_basic_blocks
 from repro.baselines.simnet import SimNetModel, simnet_features
-from repro.experiments.common import benchmark_dataset, trained_model
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import open_dataset, open_model
 from repro.sim import simulate
 from repro.uarch.presets import cortex_a7_like
-from repro.workloads import TRAIN_BENCHMARKS, get_trace
+from repro.workloads import get_trace
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -53,8 +53,8 @@ def analyze(ctx, params, inputs) -> dict:
     simnet_ips = n / t_simnet_full
 
     # --- PerfVec: representation dot product -----------------------------
-    model, _ = trained_model(cfg, TRAIN_BENCHMARKS)
-    ds = benchmark_dataset(cfg, ("557.xz",))
+    model = open_model(ctx, inputs["foundation"]).perfvec
+    ds = open_dataset(ctx, inputs["xz_data"])
     feats = ds.features
     t_rep = _time(lambda: model.program_representation(feats, cfg.chunk_len))
     prog_rep = model.program_representation(feats, cfg.chunk_len)
@@ -110,10 +110,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -29,14 +29,13 @@ from repro.baselines.actboost import AdaBoostR2, stratified_sample
 from repro.baselines.cross_program import CrossProgramPredictor
 from repro.baselines.program_specific import ProgramSpecificMLP
 from repro.core.dse import CacheDSE
-from repro.experiments.common import trained_model
-from repro.experiments.fig4_retrain_lbm import UPDATED_TRAIN
 from repro.experiments.fig7_cache_dse import (
     DSE_TUNING_BENCHMARKS,
     dse_ground_truth,
     perfvec_dse_times,
 )
 from repro.pipeline import ExperimentSpec, analysis, stage
+from repro.pipeline.stages import open_model
 from repro.uarch.presets import cortex_a7_like
 from repro.workloads import ALL_BENCHMARKS
 
@@ -57,7 +56,7 @@ def analyze(ctx, params, inputs) -> dict:
     dse = CacheDSE(cortex_a7_like())
     benchmarks = tuple(ALL_BENCHMARKS)
     grid_size = len(dse)
-    truth = dse_ground_truth(cfg, dse, benchmarks)
+    truth = dse_ground_truth(ctx, dse, benchmarks)
     areas = np.array([1000 + 10 * l1 + l2 for l1, l2 in dse.grid], dtype=float)
     rng = np.random.default_rng(cfg.seed)
 
@@ -120,9 +119,9 @@ def analyze(ctx, params, inputs) -> dict:
     metrics["actboost_sims"] = float(boost_sims)
 
     # ---- PerfVec ----------------------------------------------------------
-    model, _ = trained_model(cfg, UPDATED_TRAIN)
+    model = open_model(ctx, inputs["foundation"]).perfvec
     start = time.perf_counter()
-    preds, overhead = perfvec_dse_times(cfg, model, dse, benchmarks)
+    preds, overhead = perfvec_dse_times(ctx, model, dse, benchmarks)
     pv_secs = time.perf_counter() - start
     pv_sims = int(overhead["tuning_simulations"])
     pv_quality = _avg_quality(dse, truth, preds)
@@ -159,10 +158,3 @@ SPEC = ExperimentSpec(
               needs=("analyze",)),
     ),
 )
-
-
-def run(scale: str = "bench"):
-    """Back-compat shim: one pipeline run, returning the ExperimentResult."""
-    from repro.pipeline import run_spec
-
-    return run_spec(SPEC, scale=scale).result

@@ -7,9 +7,9 @@ it to an :class:`ExecutorBackend`:
 
 ``local``
     The in-process backend: wave scheduling over the plan with
-    :class:`repro.runtime.ParallelMap` fan-out, exactly the semantics
-    the runner always had (cached stages skipped, a failed stage raises
-    after its wave-mates persist).
+    :class:`repro.runtime.ParallelMap` fan-out (cached stages skipped).
+    A failed stage stops only the stages that depend on it; every
+    independent stage still runs and persists.
 
 ``queue``
     The distributed backend: a coordinator enqueues ready stages into
@@ -102,8 +102,14 @@ class ExecutionReport:
     """Everything a backend hands back to the runner."""
 
     results: dict = field(default_factory=dict)  # key -> TaskResult
-    failure: tuple | None = None  # (spec_name, stage_name, detail)
+    #: key -> (spec_name, stage_name, detail), in the order they failed
+    failures: dict = field(default_factory=dict)
     stats: dict | None = None  # backend telemetry (queue backend)
+
+    @property
+    def failure(self) -> tuple | None:
+        """The first recorded failure, if any."""
+        return next(iter(self.failures.values()), None)
 
 
 @dataclass
@@ -188,7 +194,7 @@ class ExecutorBackend(Protocol):
     name: str
 
     def execute(self, plan: ExecutionPlan) -> ExecutionReport:
-        """Run every task; report payloads, provenance, first failure."""
+        """Run every task; report payloads, provenance, failures."""
         ...  # pragma: no cover - protocol
 
 
@@ -232,7 +238,11 @@ def _stage_job(item) -> tuple:
 # local backend: in-process waves over ParallelMap
 # ---------------------------------------------------------------------------
 class LocalBackend:
-    """Wave-scheduled execution in this process (the historical path)."""
+    """Wave-scheduled execution in this process (the historical path).
+
+    A failure does not abort the run: tasks downstream of a failed key
+    are skipped, everything else still executes and persists.
+    """
 
     name = "local"
 
@@ -251,20 +261,20 @@ class LocalBackend:
                 t for t in pending
                 if all(k in report.results for k in t.upstream.values())
             ]
-            assert wave, "spec validation guarantees progress"
+            if not wave:  # everything left waits on a failed stage
+                break
             self._execute_wave(plan, wave, report)
-            if report.failure is not None:
-                return report
-            pending = [t for t in pending if t.key not in report.results]
+            pending = [t for t in pending if t.key not in report.results
+                       and t.key not in report.failures]
         return report
 
-    def _context(self, plan: ExecutionPlan, task: StageTask, jobs: int):
+    def _context(self, plan: ExecutionPlan, task: StageTask):
         from repro.pipeline.stages import StageContext
 
         return StageContext(
             scale=task.scale, spec_name=task.spec_name,
             cache_dir=plan.cache_dir, results_dir=plan.results_dir,
-            jobs=jobs,
+            jobs=plan.jobs,
         )
 
     def _execute_wave(self, plan: ExecutionPlan, wave: list,
@@ -273,11 +283,14 @@ class LocalBackend:
         from repro.runtime.pool import JobResult
 
         parallel = plan.jobs > 1 and len(wave) > 1
-        inner_jobs = 1 if parallel else plan.jobs
+        # every stage fans its own simulations out over the full budget,
+        # even beside concurrent wave-mates: the simulation workers are
+        # small and short-lived, and a stage worker that simulated a
+        # whole dataset serially would hold that memory until it exits
         items = [
             (
                 task.stage,
-                self._context(plan, task, inner_jobs),
+                self._context(plan, task),
                 {n: report.results[k].payload
                  for n, k in task.upstream.items()},
             )
@@ -304,9 +317,8 @@ class LocalBackend:
         elapsed = time.perf_counter() - start
         for task, res in zip(wave, results):
             if res.error is not None:
-                if report.failure is None:
-                    report.failure = (task.spec_name, task.stage.name,
-                                      res.error)
+                report.failures[task.key] = (task.spec_name, task.stage.name,
+                                             res.error)
                 continue
             payload, seconds, cpu_seconds = res.value
             if not seconds:
@@ -474,9 +486,10 @@ class QueueBackend:
                     progressed = True
                 failure = queue.first_failure()
                 if failure is not None:
-                    report.failure = (failure.get("spec", "?"),
-                                      failure.get("stage", "?"),
-                                      failure.get("error", ""))
+                    report.failures[failure.get("key", "?")] = (
+                        failure.get("spec", "?"), failure.get("stage", "?"),
+                        failure.get("error", ""),
+                    )
                     return report
                 reclaimed += queue.reap_stale()
                 self._respawn_dead(queue)

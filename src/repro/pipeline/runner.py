@@ -14,16 +14,23 @@ completed stage persisted its artifact, so a re-run resumes from the
 failure point instead of from scratch.  Sweeps executed on the queue
 backend submit the union DAG of every expanded scenario at once, so
 idle workers steal ready stages from any sweep point.
+
+:func:`run_all` runs several preset experiments as one union plan: a
+stage shared by several experiments (the suite dataset, a foundation
+model) executes once, and a failure is reported per experiment instead
+of aborting the batch.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.pipeline.artifacts import StageArtifactStore
 from repro.pipeline.executors import (
     ExecutionReport,
+    LocalBackend,
     StageTask,
     TaskResult,
     build_plan,
@@ -192,29 +199,22 @@ class SweepResult:
 
 @contextlib.contextmanager
 def execution_env(cache_dir: str | None, jobs: int | None):
-    """Export ``cache_dir``/``jobs`` process-wide for one run's duration.
+    """Export ``cache_dir`` process-wide for one run's duration.
 
     ``cache_dir`` travels as ``REPRO_CACHE_DIR`` so worker processes and
-    the common-helper stores resolve the same root; ``jobs`` installs
-    the simulation fan-out default.  Both are restored on exit.  Yields
-    the resolved job count.
+    every store a stage opens resolve the same root; it is restored on
+    exit.  Yields the resolved job count (``None`` runs serially).
     """
     import os
 
     from repro.cache import CACHE_DIR_ENV, set_cache_root
-    from repro.experiments.common import get_default_jobs, set_default_jobs
     from repro.runtime import resolve_jobs
 
     previous_root = os.environ.get(CACHE_DIR_ENV)
     set_cache_root(cache_dir)
-    previous_jobs = None
-    if jobs is not None:
-        previous_jobs = set_default_jobs(jobs)
     try:
-        yield resolve_jobs(jobs) if jobs is not None else get_default_jobs()
+        yield resolve_jobs(jobs) if jobs is not None else 1
     finally:
-        if previous_jobs is not None:
-            set_default_jobs(previous_jobs)
         if cache_dir:
             if previous_root is None:
                 os.environ.pop(CACHE_DIR_ENV, None)
@@ -263,11 +263,11 @@ def assemble_result(
 class Runner:
     """Execute one :class:`ExperimentSpec` with per-stage artifact reuse.
 
-    ``jobs=None`` inherits the process-wide simulation fan-out (like the
-    legacy ``run_experiment``); an explicit value installs it for the
-    duration of the run.  ``cache_dir`` is exported process-wide (like
-    the CLI's ``--cache-dir``) so every store a stage opens — in this
-    process or a worker — resolves the same root.  ``force`` re-executes
+    ``jobs`` is the process fan-out for stages and their simulations
+    (``None`` runs serially, ``0`` uses every core).  ``cache_dir`` is
+    exported process-wide (like the CLI's ``--cache-dir``) so every
+    store a stage opens — in this process or a worker — resolves the
+    same root.  ``force`` re-executes
     every stage; ``force_stages`` re-executes just the named ones.
 
     ``backend`` picks the executor: ``"local"`` (default), ``"queue"``
@@ -435,6 +435,82 @@ def run_sweep(
                 save=save, results_dir=results_dir, seen_executed=seen,
             ))
         return SweepResult(points=points, stats=report.stats)
+
+
+@dataclass(frozen=True)
+class ExperimentOutcome:
+    """One :func:`run_all` entry: a result or a captured failure."""
+
+    name: str
+    result: ExperimentResult | None = None
+    error: str | None = None  # the failed stage and its traceback
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def run_all(
+    names: Sequence[str] | None = None,
+    scale: str = "bench",
+    jobs: int | None = 1,
+    progress=None,
+    save: bool = False,
+) -> list[ExperimentOutcome]:
+    """Run preset experiments (default: all) as one union plan.
+
+    A stage shared by several experiments executes once, and the plan's
+    first wave is the dataset stages, so later stages read simulations
+    from the on-disk cache.  A failed stage fails only the experiments
+    that contain it; every independent stage still runs and persists.
+    ``progress`` receives one completion line per stage and a closing
+    union-plan summary.  With ``save`` each result JSON lands under the
+    results dir as soon as its report stage completes, so an interrupted
+    batch keeps what it finished.
+    """
+    from repro.core.errors import UnknownExperimentError
+    from repro.pipeline.presets import SPECS
+    from repro.runtime import resolve_jobs
+
+    names = list(names) if names is not None else list(SPECS)
+    for name in names:
+        if name not in SPECS:
+            raise UnknownExperimentError(name, SPECS)
+
+    def on_outcome(task: StageTask, result: TaskResult) -> None:
+        if save and task.stage.kind == "report":
+            ExperimentResult.from_payload(result.payload).save()
+        if progress is not None:
+            cached = " (cached)" if result.cached else ""
+            progress.task_done(f"{task.spec_name}:{task.stage.name}{cached}")
+
+    plan = build_plan(
+        [SPECS[name] for name in names], scale=scale, jobs=resolve_jobs(jobs),
+        on_outcome=on_outcome,
+    )
+    if progress is not None and not progress.total:
+        progress.total = len(plan.tasks)
+    report = LocalBackend().execute(plan)
+    outcomes = []
+    for spec, keys in plan.index:
+        failed = [name for name, key in keys.items() if key in report.failures]
+        if failed:
+            detail = report.failures[keys[failed[0]]][2]
+            error = str(StageFailure(spec.name, failed[0], detail))
+            outcomes.append(ExperimentOutcome(name=spec.name, error=error))
+            continue
+        result = assemble_result(spec, plan_scale_name(spec, scale), keys,
+                                 report)
+        outcomes.append(ExperimentOutcome(name=spec.name, result=result.result))
+    if progress is not None:
+        executed = sum(not r.cached for r in report.results.values())
+        progress.note(
+            f"run-all union plan: {executed} executed, "
+            f"{len(report.results) - executed} cached, "
+            f"{len(plan.tasks) - len(report.results)} failed or blocked "
+            f"(of {len(plan.tasks)} stages)"
+        )
+    return outcomes
 
 
 def plan_scale_name(spec: ExperimentSpec, scale) -> str:

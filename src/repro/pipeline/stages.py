@@ -7,11 +7,13 @@ and a run function ``(ctx, stage, inputs) -> payload``.
 
 Stage payloads are **JSON-serializable references, not heavyweight
 objects**: a ``dataset`` stage materializes trace simulations into the
-npz dataset cache and returns the dataset's fingerprint; a ``train``
+npz dataset cache and returns what reopening it takes (benchmarks,
+config source, instruction budget) plus its fingerprint; a ``train``
 stage materializes a model into the :class:`~repro.models.store.ModelStore`
-and returns the artifact id.  Downstream stages re-open those stores —
-which makes every stage restartable, parallelizable across processes and
-resumable from its on-disk artifact alone.
+and returns the artifact id.  Downstream stages reopen those stores
+through :func:`open_dataset` and :func:`open_model` — which makes every
+stage restartable, parallelizable across processes and resumable from
+its on-disk artifact alone.
 
 Built-in kinds::
 
@@ -39,8 +41,9 @@ class StageContext:
     """Everything a stage run needs besides its params and inputs.
 
     Picklable by construction so stages can execute in worker processes.
-    ``jobs`` is the simulation fan-out *within* this stage (the runner
-    sets it to 1 when stages themselves run concurrently).
+    ``jobs`` is the simulation fan-out *within* this stage; the local
+    backend passes the run's full budget even when stages themselves run
+    concurrently, and queue workers run stages serially.
     """
 
     scale: ScaleConfig
@@ -111,7 +114,8 @@ def analysis_fingerprint(name: str) -> str:
 
 
 def validate_stage_params(spec_name: str, stage) -> None:
-    """Reject unknown/missing stage parameters at spec-build time."""
+    """Reject unknown/missing stage parameters and bad dataset config
+    sources at spec-build time."""
     kind = STAGE_KINDS[stage.kind]
     missing = kind.required - set(stage.params)
     if missing:
@@ -127,6 +131,8 @@ def validate_stage_params(spec_name: str, stage) -> None:
                 f"got unknown parameter(s) {sorted(unknown)}; "
                 f"allowed: {sorted(kind.params)}"
             )
+    if stage.kind == "dataset":
+        _check_dataset(spec_name, stage)
 
 
 def raise_spec_error(message: str) -> None:
@@ -183,20 +189,6 @@ def resolve_benchmarks(value, isa: str | None = None) -> tuple[str, ...]:
     return tuple(value)
 
 
-def resolve_configs(ctx: StageContext, stage) -> list:
-    """The stage's microarchitecture list (``seen``/``unseen`` source)."""
-    from repro.experiments.common import seen_configs, unseen_configs
-
-    source = stage.params.get("configs", "seen")
-    if source == "seen":
-        return seen_configs(ctx.scale)
-    if source == "unseen":
-        return unseen_configs(ctx.scale, int(stage.params.get("count", 10)))
-    raise UnknownExperimentError(
-        source, ("seen", "unseen"), kind="config source"
-    )
-
-
 def _model_artifact(stage, inputs: Mapping) -> str:
     """The model artifact id produced by this stage's upstream train stage."""
     for need in stage.needs:
@@ -209,6 +201,61 @@ def _model_artifact(stage, inputs: Mapping) -> str:
     )
 
 
+#: Unseen microarchitectures a ``configs="unseen"`` dataset draws by default.
+DEFAULT_UNSEEN_COUNT = 10
+
+
+def _check_dataset(spec_name: str, stage) -> None:
+    """Reject config-source parameters the dataset stage cannot honour."""
+    where = f"spec {spec_name!r}: stage {stage.name!r} (dataset)"
+    source = stage.params.get("configs", "seen")
+    if source not in ("seen", "unseen"):
+        raise_spec_error(
+            f"{where} parameter 'configs' must be 'seen' or 'unseen' "
+            f"(got {source!r})"
+        )
+    if "count" not in stage.params:
+        return
+    count = stage.params["count"]
+    if source != "unseen":
+        raise_spec_error(
+            f"{where} parameter 'count' needs configs='unseen' "
+            f"(configs is {source!r})"
+        )
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise_spec_error(
+            f"{where} parameter 'count' must be an integer >= 1 "
+            f"(got {count!r})"
+        )
+
+
+def open_dataset(ctx: StageContext, payload: Mapping):
+    """Reopen a ``dataset`` stage's :class:`TraceDataset` from the cache
+    (every simulation is an on-disk cache hit once the stage has run)."""
+    from repro.cache import dataset_cache_dir
+    from repro.experiments.common import seen_configs, unseen_configs
+    from repro.features.dataset import build_dataset
+    from repro.frontends import DEFAULT_FRONTEND
+
+    if payload["configs"] == "unseen":
+        configs = unseen_configs(ctx.scale, payload["count"])
+    else:
+        configs = seen_configs(ctx.scale)
+    return build_dataset(
+        payload["benchmarks"], configs, payload["instructions"],
+        cache_dir=dataset_cache_dir(ctx.cache_dir), jobs=ctx.jobs,
+        isa=payload.get("isa") or DEFAULT_FRONTEND,
+    )
+
+
+def open_model(ctx: StageContext, payload: Mapping):
+    """Load a ``train`` stage's model artifact from the ModelStore."""
+    from repro.cache import model_store_dir
+    from repro.models import ModelStore
+
+    return ModelStore(model_store_dir(ctx.cache_dir)).load(payload["artifact"])
+
+
 # ---------------------------------------------------------------------------
 # built-in kinds
 # ---------------------------------------------------------------------------
@@ -218,46 +265,32 @@ def _stage_isa(stage) -> str | None:
 
 
 def _run_dataset(ctx: StageContext, stage, inputs) -> dict:
-    from repro.experiments.common import benchmark_dataset
-
     isa = _stage_isa(stage)
-    benchmarks = resolve_benchmarks(stage.params["benchmarks"], isa=isa)
-    configs = resolve_configs(ctx, stage)
-    instructions = stage.params.get("instructions")
-    ds = benchmark_dataset(
-        ctx.scale, benchmarks, configs=configs, instructions=instructions,
-        isa=isa,
-    )
+    source = stage.params.get("configs", "seen")
     payload = {
-        "benchmarks": list(benchmarks),
-        "config_names": list(ds.config_names),
-        "rows": len(ds),
-        "fingerprint": ds.fingerprint(),
+        "benchmarks": list(resolve_benchmarks(stage.params["benchmarks"],
+                                              isa=isa)),
+        "configs": source,
+        "instructions": (stage.params.get("instructions")
+                         or ctx.scale.instructions),
     }
+    if source == "unseen":
+        payload["count"] = stage.params.get("count", DEFAULT_UNSEEN_COUNT)
     if isa is not None:
-        payload["isa"] = ds.isa
+        payload["isa"] = isa
+    ds = open_dataset(ctx, payload)
+    payload.update(config_names=list(ds.config_names), rows=len(ds),
+                   fingerprint=ds.fingerprint())
     return payload
 
 
 def _run_train(ctx: StageContext, stage, inputs) -> dict:
+    from repro.api import Session
     from repro.frontends import DEFAULT_FRONTEND
 
     family = stage.params.get("family", "perfvec")
     isa = _stage_isa(stage)
     benchmarks = resolve_benchmarks(stage.params["benchmarks"], isa=isa)
-    if family == "perfvec" and (isa is None or isa == DEFAULT_FRONTEND):
-        from repro.experiments.common import trained_artifact
-
-        artifact = trained_artifact(
-            ctx.scale, benchmarks,
-            spec=stage.params.get("arch"),
-            epochs=stage.params.get("epochs"),
-        )
-        return {"artifact": artifact, "family": family}
-    # other families (and non-default frontends) ride the Session
-    # train-or-reuse path
-    from repro.api import Session
-
     session = Session(
         scale=ctx.scale, cache_dir=ctx.cache_dir, jobs=ctx.jobs,
         frontend=isa or DEFAULT_FRONTEND,
@@ -382,6 +415,8 @@ register_kind(StageKind(
     params=frozenset({"benchmarks", "configs", "count", "instructions",
                       "isa"}),
     required=frozenset({"benchmarks"}),
+    # 2: the payload records what open_dataset needs to reopen it
+    version=2,
 ))
 register_kind(StageKind(
     kind="train", run=_run_train,

@@ -1,8 +1,8 @@
 """Chunked process-pool map with a serial fallback.
 
 :class:`ParallelMap` is the single execution primitive used by dataset
-construction (:mod:`repro.features.dataset`) and the experiment runner
-(:mod:`repro.experiments.registry`).  Design constraints:
+construction (:mod:`repro.features.dataset`) and the pipeline's local
+stage backend (:mod:`repro.pipeline.executors`).  Design constraints:
 
 * **Determinism** — results come back in input order regardless of worker
   scheduling, so parallel and serial runs are interchangeable.

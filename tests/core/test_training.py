@@ -37,7 +37,7 @@ def test_training_reduces_validation_loss(trained):
     assert history.best_epoch >= 0
 
 
-def test_trained_model_beats_mean_baseline(smoke_dataset, trained):
+def test_trained_foundation_beats_mean_baseline(smoke_dataset, trained):
     model, _ = trained
     preds = model.predict_latencies(smoke_dataset.features, chunk_len=32)
     truth = smoke_dataset.targets

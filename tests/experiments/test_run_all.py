@@ -1,9 +1,12 @@
-"""Tests for the parallel experiment runner (registry.run_all)."""
+"""Tests for the union-plan experiment runner (pipeline.runner.run_all)."""
+
+import io
 
 import pytest
 
-from repro.experiments import run_all
-from repro.experiments.registry import EXPERIMENTS, _experiment_job
+from repro.pipeline import ANALYSES
+from repro.pipeline.runner import run_all
+from repro.runtime import ProgressReporter
 
 
 def test_run_all_unknown_name_rejected():
@@ -30,40 +33,35 @@ def test_run_all_parallel_two_experiments():
 
 
 def test_run_all_captures_failures(monkeypatch):
-    def _explode(scale="bench"):
+    def _explode(ctx, params, inputs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setitem(EXPERIMENTS, "sec4b_reuse", _explode)
+    monkeypatch.setitem(ANALYSES, "sec4b_reuse", _explode)
     outcomes = run_all(
         names=["sec4b_reuse", "fig3_seen_unseen"], scale="smoke", jobs=1
     )
     assert not outcomes[0].ok
     assert "injected failure" in outcomes[0].error
+    assert "stage 'analyze'" in outcomes[0].error
+    # fig3 shares sec4b's train_data stage but not its failed analysis
     assert outcomes[1].ok
+    assert outcomes[1].result.rows
 
 
-def test_warm_up_failure_does_not_abort(monkeypatch, capsys):
-    import io
-
-    import repro.features.dataset as dataset_mod
-    from repro.experiments.registry import _warm_dataset_cache
-
-    def _explode(*args, **kwargs):
-        raise RuntimeError("simulator broke")
-
-    monkeypatch.setattr(dataset_mod, "build_dataset", _explode)
+def test_run_all_warm_rerun_executes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     stream = io.StringIO()
-    _warm_dataset_cache("smoke", jobs=2, stream=stream)  # must not raise
-    assert "warm-up failed" in stream.getvalue()
-    _warm_dataset_cache("smoke", jobs=2, stream=None)  # silent, still no raise
+    run_all(names=["sec4b_reuse"], scale="smoke", jobs=1,
+            progress=ProgressReporter(total=0, stream=stream))
+    assert "union plan: 3 executed, 0 cached" in stream.getvalue()
 
-
-def test_experiment_job_is_picklable_entry_point():
-    import pickle
-
-    pickle.dumps(_experiment_job)
-    result = _experiment_job(("sec4b_reuse", "smoke", False))
-    assert result.experiment == "sec4b_reuse"
+    stream = io.StringIO()
+    outcomes = run_all(names=["sec4b_reuse"], scale="smoke", jobs=1,
+                       progress=ProgressReporter(total=0, stream=stream))
+    assert outcomes[0].ok
+    lines = stream.getvalue().splitlines()
+    assert lines[0].startswith("[1/3] sec4b_reuse:train_data (cached)")
+    assert "union plan: 0 executed, 3 cached" in lines[-1]
 
 
 def test_run_all_save_writes_results_incrementally(tmp_path, monkeypatch):
@@ -74,7 +72,7 @@ def test_run_all_save_writes_results_incrementally(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
     outcomes = run_all(names=["sec4b_reuse"], scale="smoke", jobs=1, save=True)
     assert outcomes[0].ok
-    # saved by the worker as the experiment finished, not by the caller —
-    # results follow the cache root (satellite: no hardcoded ./results)
+    # saved as the report stage completed, not by the caller — results
+    # follow the cache root (no hardcoded ./results)
     assert os.path.exists(str(tmp_path / "cache/results/sec4b_reuse_smoke.json"))
     assert not os.path.exists("results")

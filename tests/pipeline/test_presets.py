@@ -1,14 +1,19 @@
-"""The preset spec registry mirrors the experiment registry."""
+"""The preset spec registry holds one spec per experiment module."""
+
+import pkgutil
 
 import pytest
 
+import repro.experiments
 from repro.core.errors import UnknownExperimentError
-from repro.experiments import EXPERIMENTS
 from repro.pipeline import available_specs, get_spec
 
 
 def test_every_experiment_has_a_spec():
-    assert set(available_specs()) == set(EXPERIMENTS)
+    modules = {
+        info.name for info in pkgutil.iter_modules(repro.experiments.__path__)
+    } - {"common"}
+    assert set(available_specs()) == modules
 
 
 def test_specs_end_in_report_and_are_named_consistently():

@@ -172,6 +172,29 @@ def test_parallel_wave_matches_serial(cache):
             == serial.outcome("b").payload["fingerprint"])
 
 
+@analysis("test_report_jobs")
+def _report_jobs(ctx, params, inputs):
+    return {"headers": ["jobs"], "rows": [[ctx.jobs]],
+            "metrics": {"jobs": ctx.jobs}}
+
+
+def test_concurrent_stages_keep_the_full_simulation_budget(cache):
+    # a stage beside wave-mates still fans its simulations out, so no
+    # stage worker simulates a whole dataset serially in one process
+    spec = ExperimentSpec(
+        name="jobs_spec",
+        scale="smoke",
+        stages=(
+            stage("a", "analysis", fn="test_report_jobs", tag="a"),
+            stage("b", "analysis", fn="test_report_jobs", tag="b"),
+        ),
+    )
+    run = Runner(spec, jobs=2).run()
+    assert run.executed == 2
+    assert run.outcome("a").payload["metrics"]["jobs"] == 2
+    assert run.outcome("b").payload["metrics"]["jobs"] == 2
+
+
 def test_unknown_analysis_name_fails_with_suggestions(cache):
     spec = ExperimentSpec(
         name="typo_spec",
@@ -267,3 +290,93 @@ def test_unknown_scale_suggests():
 
     with pytest.raises(UnknownExperimentError, match="did you mean 'smoke'"):
         get_scale("smok")
+
+
+def test_failure_still_runs_every_independent_stage(cache):
+    """A failed stage blocks only its dependents: later waves of the
+    independent branch still execute and persist before StageFailure."""
+    good, late = str(cache / "good.txt"), str(cache / "late.txt")
+    spec = ExperimentSpec(
+        name="branches",
+        scale="smoke",
+        stages=(
+            stage("flaky", "analysis", fn="test_fail_unless_marker",
+                  marker=str(cache / "never")),
+            stage("good", "analysis", fn="test_echo", counter=good),
+            stage("late", "analysis", fn="test_echo", counter=late, value=2,
+                  needs=("good",)),
+            stage("blocked", "report", needs=("flaky",)),
+        ),
+    )
+    with pytest.raises(StageFailure, match="injected stage failure") as exc:
+        Runner(spec, jobs=1).run()
+    assert exc.value.stage_name == "flaky"
+    assert open(good).read() == "x"
+    assert open(late).read() == "x"  # second wave ran despite the failure
+
+
+def test_forced_fig3_analysis_reads_its_stage_inputs(cache, monkeypatch):
+    """On a warm cache the fig3 analysis re-runs from its upstream
+    payloads alone: no training and no simulation."""
+    import repro.models.adapters as adapters
+    from repro.experiments.fig3_seen_unseen import SPEC
+    from repro.sim.cpu import CPUSimulator
+
+    warm = Runner(SPEC, scale="smoke", jobs=1).run()
+    calls = {"train": 0, "sim": 0}
+
+    def counting_train(*args, **kwargs):
+        calls["train"] += 1
+        raise AssertionError("forced analysis must not train")
+
+    def counting_run(*args, **kwargs):
+        calls["sim"] += 1
+        raise AssertionError("forced analysis must not simulate")
+
+    monkeypatch.setattr(adapters, "train_foundation", counting_train)
+    monkeypatch.setattr(CPUSimulator, "run", counting_run)
+    forced = Runner(SPEC, scale="smoke", jobs=1,
+                    force_stages=("analyze",)).run()
+    assert [o.name for o in forced.outcomes if not o.cached] == ["analyze"]
+    assert calls == {"train": 0, "sim": 0}
+    assert forced.outcome("analyze").payload == warm.outcome("analyze").payload
+
+
+def test_stored_foundation_reused_by_a_cold_runner(cache, monkeypatch):
+    """With the stage store wiped, a second cold run re-executes every
+    stage but loads the stored model instead of retraining it."""
+    import shutil
+
+    import repro.models.adapters as adapters
+    from repro.workloads import TRAIN_BENCHMARKS
+
+    calls = {"train": 0}
+    real_train = adapters.train_foundation
+
+    def counting_train(dataset, config):
+        calls["train"] += 1
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(adapters, "train_foundation", counting_train)
+    benchmarks = list(TRAIN_BENCHMARKS[:3])
+    spec = ExperimentSpec(
+        name="store_reuse",
+        scale="smoke",
+        stages=(
+            stage("data", "dataset", benchmarks=benchmarks),
+            stage("foundation", "train", benchmarks=benchmarks,
+                  needs=("data",)),
+        ),
+    )
+    first = Runner(spec, jobs=1).run()
+    assert calls["train"] == 1
+    assert first.outcome("foundation").payload["reused"] is False
+
+    shutil.rmtree(cache / "cache" / "stages")  # keep datasets + models
+    second = Runner(spec, jobs=1).run()
+    assert second.executed == 2
+    assert calls["train"] == 1  # loaded, not retrained
+    payload = second.outcome("foundation").payload
+    assert payload["reused"] is True
+    # content-addressed id: same weights, same training provenance
+    assert payload["artifact"] == first.outcome("foundation").payload["artifact"]

@@ -75,6 +75,37 @@ def test_missing_required_param_rejected():
         ExperimentSpec(name="bad", stages=(stage("x", "dataset"),))
 
 
+@pytest.mark.parametrize("params, match", [
+    ({"configs": "unseen", "count": 0}, "'count' must be an integer >= 1"),
+    ({"configs": "unseen", "count": "many"}, "'count' must be an integer"),
+    ({"configs": "unseen", "count": True}, "'count' must be an integer"),
+    ({"configs": "seen", "count": 3}, "'count' needs configs='unseen'"),
+    ({"count": 3}, "'count' needs configs='unseen'"),
+    ({"configs": "unsene"}, "'configs' must be 'seen' or 'unseen'"),
+])
+def test_dataset_config_params_validated_at_build_time(params, match):
+    data = {
+        "name": "bad_data",
+        "stage": [
+            {"name": "data", "kind": "dataset", "benchmarks": ["505.mcf"],
+             **params},
+            {"name": "report", "kind": "report", "needs": ["data"]},
+        ],
+    }
+    with pytest.raises(SpecError, match=match) as exc:
+        spec_from_dict(data)
+    assert "stage 'data' (dataset)" in str(exc.value)
+
+
+def test_dataset_unseen_count_accepted():
+    spec = ExperimentSpec(name="ok", stages=(
+        stage("d", "dataset", benchmarks="train", configs="unseen", count=4),
+    ))
+    assert spec.stage("d").params["count"] == 4
+    with pytest.raises(SpecError, match="'count' must be an integer >= 1"):
+        spec.override({"d.count": -1})
+
+
 def test_duplicate_stage_names_rejected():
     with pytest.raises(SpecError, match="duplicate stage name"):
         ExperimentSpec(

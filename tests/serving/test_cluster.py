@@ -102,8 +102,12 @@ def test_worker_crash_recovery_no_request_lost(cluster, expected):
 
 
 def test_hot_swap_is_atomic_under_traffic(cluster, session, expected):
-    # second artifact with different weights (one more epoch)
+    # pin the route to the current artifact before a newer one exists, so
+    # the test does not rely on earlier tests having resolved it
     old_id = session.resolve_artifact()
+    pinned = cluster.predict(ServeRequest(benchmark="505.mcf"), timeout=120)
+    assert pinned.artifact == old_id
+    # second artifact with different weights (one more epoch)
     new_id = session.train(
         benchmarks=BENCHMARKS, **{**SPEC, "epochs": 2}
     ).artifact_id
